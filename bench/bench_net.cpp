@@ -90,7 +90,7 @@ struct LoopbackMesh {
   std::vector<std::unique_ptr<WireCounters>> counters;
   std::vector<std::unique_ptr<NetTransport>> t;
 
-  explicit LoopbackMesh(int n) {
+  LoopbackMesh(int n, const BcastConfig& bcast) {
     std::vector<std::vector<PeerLink>> links(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
@@ -108,7 +108,7 @@ struct LoopbackMesh {
       counters.push_back(std::make_unique<WireCounters>());
       t.push_back(std::make_unique<NetTransport>(
           n, r, std::move(links[static_cast<std::size_t>(r)]),
-          counters.back().get()));
+          counters.back().get(), bcast));
     }
   }
 };
@@ -124,10 +124,9 @@ struct BcastPoint {
 };
 
 BcastPoint bcast_sweep_one(int row, Index extent, BcastSelect select) {
-  LoopbackMesh mesh(row);
   BcastConfig cfg;
   cfg.select = select;
-  for (auto& t : mesh.t) t->configure_bcast(cfg);
+  LoopbackMesh mesh(row, cfg);
 
   Rng rng(static_cast<std::uint64_t>(extent) * 31 + row);
   Tile tile(extent, extent);

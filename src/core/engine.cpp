@@ -8,12 +8,10 @@
 #include <unordered_set>
 
 #include "comm/transport.hpp"
-#include "obs/obs.hpp"
 #include "plan/builder.hpp"
 #include "runtime/device.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/trace.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 #include "tile/gemm.hpp"
@@ -130,8 +128,6 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   CommRecorder comm(num_nodes);
-  const double chunk_capacity =
-      plan.config.chunk_mem_fraction * machine.node.gpu.memory_bytes;
 
   // Distributed single-rank mode: build and run only local_rank's share
   // of the DAG against an external (network) transport.
@@ -251,7 +247,6 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                      static_cast<int>(spare /
                                                       max_chunk_bytes)))
               : 1;
-      (void)chunk_capacity;
 
       // --- Piece tasks: generate on CPU, then stage on the device. ---
       std::vector<TaskId> piece_loads;
@@ -449,22 +444,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   BSTC_CHECK(graph.is_acyclic());
-  TraceRecorder trace;
-  obs::Registry& reg = obs::Registry::instance();
-  const bool want_trace = !cfg.trace_path.empty() || reg.enabled();
-  // TraceRecorder times are relative to run_graph entry; anchor them to
-  // the registry epoch so task spans line up with comm/barrier spans.
-  const double trace_base = reg.enabled() ? reg.now() : 0.0;
-  const SchedulerStats sched =
-      run_graph(graph, num_queues, want_trace ? &trace : nullptr);
-  if (!cfg.trace_path.empty()) trace.write_chrome_json(cfg.trace_path);
-  if (reg.enabled()) {
-    for (const TraceEvent& e : trace.events()) {
-      reg.record(obs::Category::kTask, e.name, e.queue,
-                 trace_base + e.start_s, trace_base + e.end_s);
-      reg.name_lane(e.queue, "queue " + std::to_string(e.queue));
-    }
-  }
+  const SchedulerStats sched = run_graph(graph, num_queues);
 
   // --- Assemble the global C and count return traffic. ---
   EngineResult result;

@@ -37,10 +37,6 @@ namespace bstc {
 /// Engine configuration.
 struct EngineConfig {
   PlanConfig plan;  ///< inspector knobs (grid rows, memory fractions)
-  /// When non-empty, a Chrome-tracing JSON of every executed task is
-  /// written to this path after the run (open in chrome://tracing or
-  /// Perfetto; each queue appears as one thread).
-  std::string trace_path;
   /// When true, remote A tiles travel as explicit tile messages: the home
   /// rank runs send tasks into per-rank mailboxes and consumers block
   /// until arrival — reproducing the paper's background broadcast
@@ -64,9 +60,10 @@ struct EngineConfig {
   int local_rank = -1;
   /// A-broadcast algorithm for explicit-message runs, and the rank ->
   /// node map the analytic stats use to split A volume into intra- and
-  /// inter-node hops. Must match the transport's configuration (a
-  /// NetTransport's configure_bcast) so measured and predicted splits
-  /// agree; the defaults reproduce the historical flat unicast numbers.
+  /// inter-node hops. Must match the transport's configuration (the
+  /// BcastConfig a NetTransport was constructed with) so measured and
+  /// predicted splits agree; the defaults reproduce the historical flat
+  /// unicast numbers.
   BcastSelect a_bcast = BcastSelect::kUnicast;
   std::vector<int> node_of_rank;  ///< empty = every rank its own node
   /// When non-null, the per-node B sources live here and survive across

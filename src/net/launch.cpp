@@ -319,8 +319,8 @@ int run_worker(const WorkerOptions& opts) {
     links.push_back(PeerLink{static_cast<int>(peer.rank), std::move(*sock)});
   }
 
-  NetTransport nt(np, rank, std::move(links), &counters);
-  nt.configure_bcast(BcastConfig{welcome.bcast, node_of});
+  NetTransport nt(np, rank, std::move(links), &counters,
+                  BcastConfig{welcome.bcast, node_of});
   if (use_shm) {
     // Every rank created its ring before the mesh, so after this barrier
     // every peer's ring exists and the attaches below cannot race.

@@ -7,10 +7,14 @@
 namespace bstc::net {
 
 NetTransport::NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
-                           WireCounters* counters)
+                           WireCounters* counters, BcastConfig bcast)
     : Transport(nodes), rank_(rank), counters_(counters),
-      links_(std::move(peers)) {
+      links_(std::move(peers)), bcast_(std::move(bcast)) {
   BSTC_REQUIRE(rank_ >= 0 && rank_ < nodes, "net: rank out of range");
+  BSTC_REQUIRE(bcast_.node_of_rank.empty() ||
+                   bcast_.node_of_rank.size() ==
+                       static_cast<std::size_t>(nodes),
+               "net: broadcast node map size mismatch");
   for (const PeerLink& link : links_) {
     BSTC_REQUIRE(link.rank >= 0 && link.rank < nodes && link.rank != rank_,
                  "net: peer link with an invalid rank");
@@ -49,14 +53,6 @@ void NetTransport::send(int from, int to, std::uint64_t key, Tile tile) {
     return;
   }
   post(to, encode_tile(FrameType::kTile, key, tile));
-}
-
-void NetTransport::configure_bcast(BcastConfig cfg) {
-  if (!cfg.node_of_rank.empty()) {
-    BSTC_REQUIRE(cfg.node_of_rank.size() == static_cast<std::size_t>(nodes()),
-                 "net: broadcast node map size mismatch");
-  }
-  bcast_ = std::move(cfg);
 }
 
 void NetTransport::enable_shm_bcast(shm::BcastRing* own_ring,

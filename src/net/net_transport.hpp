@@ -52,9 +52,12 @@ class NetTransport : public Transport {
   /// `peers` must hold one connected link per remote rank (np - 1 links
   /// for a full mesh). `counters` (optional) receives wire-level counts;
   /// the CommRecorder inherited from Transport receives the payload-level
-  /// tile accounting that is compared against plan statistics.
+  /// tile accounting that is compared against plan statistics. `bcast`
+  /// is the broadcast policy + node map; it is fixed here, before the
+  /// receiver threads start, because a peer's first broadcast frame may
+  /// arrive as soon as they do.
   NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
-               WireCounters* counters = nullptr);
+               WireCounters* counters = nullptr, BcastConfig bcast = {});
   ~NetTransport() override;
 
   int rank() const { return rank_; }
@@ -73,9 +76,6 @@ class NetTransport : public Transport {
   /// (sender side of each hop) and in the WireCounters intra/inter split.
   void send_multi(int from, const std::vector<int>& consumers,
                   std::uint64_t key, const Tile& tile) override;
-
-  /// Install the broadcast policy + node map (before the engine runs).
-  void configure_bcast(BcastConfig cfg);
 
   /// Enable the intra-node fast path: `own_ring` is this rank's staging
   /// ring (created before the mesh formed, so peers cannot publish before
@@ -132,7 +132,7 @@ class NetTransport : public Transport {
   std::vector<std::thread> rx_threads_;
   std::thread progress_thread_;
 
-  // Broadcast routing state (written once before the engine runs).
+  // Broadcast routing state (bcast_ is immutable after construction).
   BcastConfig bcast_;
   shm::BcastRing* own_ring_ = nullptr;       ///< borrowed; we publish
   std::vector<shm::BcastRing*> peer_rings_;  ///< borrowed; we read

@@ -2,9 +2,9 @@
 
 /// \file obs.hpp
 /// Process-wide observability registry: spans, counters, gauges and
-/// latency histograms, unified across the three telemetry islands that
-/// grew separately (TraceRecorder = compute tasks, ServiceMetrics = the
-/// serving layer, WireCounters = bytes).
+/// latency histograms. Compute task timelines are recorded here directly
+/// by the scheduler; the serving layer's ServiceMetrics and the net
+/// layer's WireCounters are exposed alongside.
 ///
 /// Spans are timeline intervals with a category (`task`, `comm.tx`,
 /// `comm.rx`, `barrier`, `plan`, `service.request`, `phase`) and a lane
@@ -37,7 +37,7 @@ namespace bstc::obs {
 /// Span taxonomy. Categories are coarse on purpose: the span *name*
 /// carries the instance detail ("gemmbatch(0,2,1)", "tx(tile)", ...).
 enum class Category : std::uint8_t {
-  kTask = 0,        ///< one scheduler/PTG task body
+  kTask = 0,        ///< one scheduler task body (lane = queue id)
   kCommTx,          ///< one frame written to a socket
   kCommRx,          ///< one frame read from a socket (after its header)
   kBarrier,         ///< a full-mesh barrier epoch

@@ -5,9 +5,11 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -30,8 +32,7 @@ struct RunState {
 
 }  // namespace
 
-SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
-                         TraceRecorder* trace) {
+SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues) {
   BSTC_REQUIRE(num_queues > 0, "need at least one queue");
   BSTC_REQUIRE(graph.is_acyclic(), "task graph has a cycle");
   for (std::size_t t = 0; t < graph.size(); ++t) {
@@ -52,7 +53,10 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
     }
   }
 
-  auto worker = [&graph, &state, &deps, &timer, trace](std::uint32_t queue) {
+  obs::Registry& reg = obs::Registry::instance();
+  const bool traced = reg.enabled();
+  auto worker = [&graph, &state, &deps, &reg, traced](std::uint32_t queue) {
+    bool lane_named = false;
     std::unique_lock lock(state.mutex);
     while (true) {
       state.cv.wait(lock, [&] {
@@ -66,9 +70,15 @@ SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
 
       try {
         const TaskNode& node = graph.task(id);
-        const double start = trace ? timer.elapsed_s() : 0.0;
+        if (traced && !lane_named) {
+          reg.name_lane(queue, "queue " + std::to_string(queue));
+          lane_named = true;
+        }
+        const double start = traced ? reg.now() : 0.0;
         if (node.body) node.body();
-        if (trace) trace->record(node.name, queue, start, timer.elapsed_s());
+        if (traced) {
+          reg.record(obs::Category::kTask, node.name, queue, start, reg.now());
+        }
       } catch (...) {
         lock.lock();
         if (!state.error) state.error = std::current_exception();

@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "runtime/task_graph.hpp"
-#include "runtime/trace.hpp"
 
 namespace bstc {
 
@@ -29,9 +28,9 @@ struct SchedulerStats {
 /// per queue). Throws bstc::Error on a cyclic graph; exceptions thrown by
 /// task bodies are captured and rethrown after all workers stop (the first
 /// one wins). The graph's dependence counters are consumed by the run, so
-/// a graph can be executed once. When `trace` is non-null every task span
-/// is recorded into it (times relative to the run start).
-SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues,
-                         TraceRecorder* trace = nullptr);
+/// a graph can be executed once. While obs::Registry span recording is
+/// enabled, every task body is recorded as a `task` span named after the
+/// task, on lane = its queue id (labelled "queue N").
+SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues);
 
 }  // namespace bstc

@@ -198,7 +198,7 @@ struct LoopbackTrio {
   net::WireCounters counters[3];
   std::unique_ptr<net::NetTransport> t[3];
 
-  LoopbackTrio() {
+  explicit LoopbackTrio(const net::BcastConfig& bcast = {}) {
     int p01[2], p02[2], p12[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, p01) != 0 ||
         ::socketpair(AF_UNIX, SOCK_STREAM, 0, p02) != 0 ||
@@ -209,17 +209,17 @@ struct LoopbackTrio {
     l0.push_back(net::PeerLink{1, net::Socket(p01[0])});
     l0.push_back(net::PeerLink{2, net::Socket(p02[0])});
     t[0] = std::make_unique<net::NetTransport>(3, 0, std::move(l0),
-                                               &counters[0]);
+                                               &counters[0], bcast);
     std::vector<net::PeerLink> l1;
     l1.push_back(net::PeerLink{0, net::Socket(p01[1])});
     l1.push_back(net::PeerLink{2, net::Socket(p12[0])});
     t[1] = std::make_unique<net::NetTransport>(3, 1, std::move(l1),
-                                               &counters[1]);
+                                               &counters[1], bcast);
     std::vector<net::PeerLink> l2;
     l2.push_back(net::PeerLink{0, net::Socket(p02[1])});
     l2.push_back(net::PeerLink{1, net::Socket(p12[1])});
     t[2] = std::make_unique<net::NetTransport>(3, 2, std::move(l2),
-                                               &counters[2]);
+                                               &counters[2], bcast);
   }
 };
 
@@ -233,10 +233,7 @@ TEST(Bcast, TreeBroadcastSerializesTheTileExactlyOnce) {
   // The regression the refactor exists for: a q-consumer broadcast used
   // to serialize the tile q times (one unicast each). The tree encodes
   // once at the root; relays retype the received payload verbatim.
-  LoopbackTrio trio;
-  net::BcastConfig cfg;
-  cfg.select = BcastSelect::kTree;
-  for (auto& t : trio.t) t->configure_bcast(cfg);
+  LoopbackTrio trio({BcastSelect::kTree, {}});
 
   Rng rng(5);
   Tile tile(9, 7);
@@ -273,10 +270,7 @@ TEST(Bcast, UnicastFallbackAlsoSerializesOnce) {
   // Even the unicast algorithm benefits from send_multi: the kTile frame
   // is encoded once and posted to each consumer — unlike the legacy
   // per-consumer send() loop, which re-serializes on every call.
-  LoopbackTrio trio;
-  net::BcastConfig cfg;
-  cfg.select = BcastSelect::kUnicast;
-  for (auto& t : trio.t) t->configure_bcast(cfg);
+  LoopbackTrio trio({BcastSelect::kUnicast, {}});
 
   Rng rng(6);
   Tile tile(4, 4);
@@ -297,6 +291,41 @@ TEST(Bcast, UnicastFallbackAlsoSerializesOnce) {
   }
   for (int r : {1, 2}) (void)trio.t[r]->mailbox(r).wait(45);
   EXPECT_EQ(tile_encodes() - before, 2u);
+}
+
+TEST(Bcast, ConstructorNodeMapGovernsAnImmediateRelay) {
+  // A broadcast frame can arrive the moment the mesh is up, so the node
+  // map must be in place before the receiver threads start (TSan runs
+  // this suite). Rank 0 is alone on node 0; ranks 1 and 2 share node 1.
+  // The tree crosses the interconnect once (0 -> 1) and rank 1's
+  // receiver thread relays to its co-located peer (1 -> 2) — a decision
+  // it can only make from the node map.
+  LoopbackTrio trio({BcastSelect::kTree, {0, 1, 1}});
+  Rng rng(7);
+  Tile tile(6, 5);
+  tile.fill_random(rng);
+  trio.t[0]->send_multi(0, {1, 2}, 55, tile);
+
+  const std::uint64_t bytes = tile.bytes();
+  for (int i = 0; i < 2000 && trio.counters[1].snapshot()
+                                      .a_payload_intra_bytes < bytes;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto s0 = trio.counters[0].snapshot();
+  const auto s1 = trio.counters[1].snapshot();
+  const auto s2 = trio.counters[2].snapshot();
+  EXPECT_EQ(s0.a_payload_inter_bytes, bytes);
+  EXPECT_EQ(s0.a_payload_intra_bytes, 0u);
+  EXPECT_EQ(s1.a_payload_inter_bytes, 0u);
+  // Without the relay rank 2 would never receive the tile; stop here
+  // rather than wait on its mailbox forever.
+  ASSERT_EQ(s1.a_payload_intra_bytes, bytes);
+  EXPECT_EQ(s2.a_payload_inter_bytes + s2.a_payload_intra_bytes, 0u);
+  for (int r : {1, 2}) {
+    const Tile& got = trio.t[r]->mailbox(r).wait(55);
+    EXPECT_EQ(std::memcmp(got.data(), tile.data(), tile.bytes()), 0);
+  }
 }
 
 std::string test_ring_name(const char* tag) {

@@ -186,20 +186,32 @@ TEST(Engine, ScreenedCSkipsWork) {
       if (h.c_shape.nonzero(i, j) && (i + j) % 2 == 0) screened.set(i, j);
     }
   }
-  MachineModel machine = MachineModel::summit_gpus(1);
-  machine.node.gpu.memory_bytes = 1.0e6;
-  EngineConfig cfg;
-  const EngineResult result = contract(h.a, h.b_shape, h.b_gen, screened,
-                                       nullptr, machine, cfg);
   const ContractionStats full = contraction_stats(h.a.shape(), h.b_shape);
-  EXPECT_LT(result.plan_stats.gemm_tasks, full.gemm_tasks);
-  // Screened tiles match the reference restricted to the screen.
   const BlockSparseMatrix expected = h.reference();
-  for (std::size_t i = 0; i < screened.tile_rows(); ++i) {
-    for (std::size_t j = 0; j < screened.tile_cols(); ++j) {
-      if (screened.nonzero(i, j)) {
-        EXPECT_LT(result.c.tile(i, j).max_abs_diff(expected.tile(i, j)),
-                  1e-10);
+
+  // Two inputs: the default inspector on one device, and first-fit
+  // packing with no prefetch (prefetch_depth = 1) across two devices.
+  MachineModel one_gpu = MachineModel::summit_gpus(1);
+  one_gpu.node.gpu.memory_bytes = 1.0e6;
+  MachineModel two_gpus = MachineModel::summit_gpus(2);
+  two_gpus.node.gpu.memory_bytes = 5.0e5;
+  EngineConfig first_fit;
+  first_fit.plan.packing = PackingPolicy::kFirstFit;
+  first_fit.plan.prefetch_depth = 1;
+  for (const auto& [machine, cfg] :
+       std::vector<std::pair<MachineModel, EngineConfig>>{
+           {one_gpu, EngineConfig{}}, {two_gpus, first_fit}}) {
+    const EngineResult result = contract(h.a, h.b_shape, h.b_gen, screened,
+                                         nullptr, machine, cfg);
+    EXPECT_LT(result.plan_stats.gemm_tasks, full.gemm_tasks);
+    // Screened tiles match the reference restricted to the screen.
+    for (std::size_t i = 0; i < screened.tile_rows(); ++i) {
+      for (std::size_t j = 0; j < screened.tile_cols(); ++j) {
+        if (screened.nonzero(i, j)) {
+          EXPECT_LT(result.c.tile(i, j).max_abs_diff(expected.tile(i, j)),
+                    1e-10)
+              << machine.node.gpus << " device(s)";
+        }
       }
     }
   }

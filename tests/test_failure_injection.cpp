@@ -15,7 +15,6 @@
 #include "bsm/block_sparse_matrix.hpp"
 #include "bsm/on_demand_matrix.hpp"
 #include "core/engine.hpp"
-#include "core/ptg_engine.hpp"
 #include "net/serve.hpp"
 #include "net/socket.hpp"
 #include "shape/shape_algebra.hpp"
@@ -52,8 +51,6 @@ TEST(FailureInjection, GeneratorThrowingPropagatesThroughEngine) {
   EXPECT_THROW(
       contract(*p.a, p.b_shape, bad, p.c_shape, nullptr, machine, cfg),
       Error);
-  EXPECT_THROW(contract_ptg(*p.a, p.b_shape, bad, p.c_shape, machine, cfg),
-               Error);
 }
 
 TEST(FailureInjection, GeneratorWrongDimensionsDetected) {

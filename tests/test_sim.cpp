@@ -138,14 +138,16 @@ TEST(Simulator, PerGpuStatsConsistent) {
 TEST(Simulator, TraceRecordsPipelineSpans) {
   SimProblem p(6000, 24000, 24000, 0.5, 0.5, 23);
   const MachineModel machine = MachineModel::summit(1);
-  TraceRecorder trace;
+  std::vector<obs::Span> trace;
   SimConfig scfg;
   scfg.trace = &trace;
   const SimResult r =
       simulate_contraction(p.a, p.b, p.c, machine, PlanConfig{}, scfg);
   EXPECT_GT(trace.size(), 0u);
   bool saw_stage = false, saw_compute = false, saw_load = false;
-  for (const TraceEvent& e : trace.events()) {
+  for (const obs::Span& e : trace) {
+    EXPECT_EQ(e.category, obs::Category::kTask);
+    EXPECT_LT(e.lane, r.gpus.size());
     EXPECT_LE(e.start_s, e.end_s);
     EXPECT_LE(e.end_s, r.makespan_s + 1e-9);
     saw_stage |= e.name.rfind("stage", 0) == 0;

@@ -99,9 +99,9 @@ struct RankSummary {
 };
 
 TEST(NetIntegrationTrace, FourRankGatherMergesOneConsistentTimeline) {
-  const std::string trace_path = testing::TempDir() + "bstc_trace_gather_" +
+  const std::string trace_file = testing::TempDir() + "bstc_trace_gather_" +
                                  std::to_string(getpid()) + ".json";
-  std::remove(trace_path.c_str());
+  std::remove(trace_file.c_str());
 
   NetProblemSpec spec;  // defaults: 96 x 480 x 480, np = 4, p = 2
   std::vector<Child> children;
@@ -112,7 +112,7 @@ TEST(NetIntegrationTrace, FourRankGatherMergesOneConsistentTimeline) {
     report = run_launcher(
         opts,
         [&](const std::string& host, std::uint16_t port, int) {
-          spawn_worker(children, spec, trace_path, host, port);
+          spawn_worker(children, spec, trace_file, host, port);
         },
         [&] { return poll_dead(children); });
   } catch (...) {
@@ -129,8 +129,8 @@ TEST(NetIntegrationTrace, FourRankGatherMergesOneConsistentTimeline) {
   // The run itself must still be correct with tracing on.
   EXPECT_TRUE(report.ok);
 
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.good()) << "rank 0 did not write " << trace_path;
+  std::ifstream in(trace_file);
+  ASSERT_TRUE(in.good()) << "rank 0 did not write " << trace_file;
 
   std::map<long, RankSummary> ranks;
   std::string line;
@@ -207,7 +207,7 @@ TEST(NetIntegrationTrace, FourRankGatherMergesOneConsistentTimeline) {
     EXPECT_EQ(r.sum_rx, r.expect_rx) << "rank " << rank;
   }
 
-  std::remove(trace_path.c_str());
+  std::remove(trace_file.c_str());
 }
 
 }  // namespace

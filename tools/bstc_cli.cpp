@@ -111,7 +111,6 @@ const CommandInfo kCommands[] = {
      "usage: bstc_cli execute [options]\n"
      "  --m --n --k --density --tile-lo --tile-hi   problem geometry\n"
      "  --verify true|false  compare against the reference product\n"
-     "  --trace FILE.json    write a Chrome-tracing timeline (tasks only)\n"
      "  --trace-out F.json   write a unified obs trace (tasks + plan spans)\n"},
     {"launch", "run the distributed executor as real OS processes",
      "usage: bstc_cli launch [options]\n"
@@ -463,7 +462,6 @@ int cmd_execute(const Args& args) {
   const MachineModel machine = make_machine(args);
   EngineConfig cfg;
   cfg.plan = make_plan_config(args);
-  cfg.trace_path = args.get("trace", "");
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 1);
   const BlockSparseMatrix a = BlockSparseMatrix::random(p.a, rng);
   const TileGenerator b_gen = random_tile_generator(p.b, 1234);
