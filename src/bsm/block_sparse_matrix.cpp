@@ -8,13 +8,22 @@
 
 namespace bstc {
 
-BlockSparseMatrix::BlockSparseMatrix(Shape shape) : shape_(std::move(shape)) {
+BlockSparseMatrix::BlockSparseMatrix(Shape shape)
+    : BlockSparseMatrix(std::move(shape), [this](std::size_t r, std::size_t c) {
+        return Tile(row_tiling().tile_extent(r), col_tiling().tile_extent(c));
+      }) {}
+
+BlockSparseMatrix::BlockSparseMatrix(
+    Shape shape, const std::function<Tile(std::size_t, std::size_t)>& make)
+    : shape_(std::move(shape)) {
   for (std::size_t r = 0; r < shape_.tile_rows(); ++r) {
     for (std::size_t c = 0; c < shape_.tile_cols(); ++c) {
-      if (shape_.nonzero(r, c)) {
-        tiles_.emplace(key(r, c), Tile(row_tiling().tile_extent(r),
-                                       col_tiling().tile_extent(c)));
-      }
+      if (!shape_.nonzero(r, c)) continue;
+      Tile tile = make(r, c);
+      BSTC_REQUIRE(tile.rows() == row_tiling().tile_extent(r) &&
+                       tile.cols() == col_tiling().tile_extent(c),
+                   "tile extents do not match the shape");
+      tiles_.emplace(key(r, c), std::move(tile));
     }
   }
 }

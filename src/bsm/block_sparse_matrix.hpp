@@ -4,6 +4,7 @@
 /// Block-sparse matrix: a Shape plus dense tiles for the nonzero blocks.
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 
 #include "shape/shape.hpp"
@@ -20,6 +21,11 @@ class BlockSparseMatrix {
 
   /// All nonzero tiles allocated and zero-initialised.
   explicit BlockSparseMatrix(Shape shape);
+
+  /// Nonzero tile (r, c) is make(r, c), which must have the block's
+  /// extents — lets a caller move tiles it already holds in.
+  BlockSparseMatrix(Shape shape,
+                    const std::function<Tile(std::size_t, std::size_t)>& make);
 
   /// All nonzero tiles filled with uniform random values in [-1,1).
   static BlockSparseMatrix random(Shape shape, Rng& rng);

@@ -16,35 +16,55 @@ std::uint64_t OnDemandMatrix::key(std::size_t r, std::size_t c) const {
   return static_cast<std::uint64_t>(r) * shape_.tile_cols() + c;
 }
 
-OnDemandMatrix::Entry& OnDemandMatrix::locate_or_generate(std::size_t r,
-                                                          std::size_t c) {
+OnDemandMatrix::Entry& OnDemandMatrix::locate_or_generate(
+    std::unique_lock<std::mutex>& lock, std::size_t r, std::size_t c) {
   BSTC_REQUIRE(shape_.nonzero(r, c), "acquiring a zero block");
   const std::uint64_t k = key(r, c);
-  auto it = cache_.find(k);
-  if (it == cache_.end()) {
-    // Generation happens under the lock: the paper's runtime guarantees a
-    // tile is instantiated at most once per node even under concurrent
-    // requests, which a per-matrix lock provides. Generation cost is tiny
-    // relative to the GEMMs consuming the tile.
-    Entry entry;
-    entry.tile = generator_(r, c);
-    BSTC_CHECK(entry.tile.rows() == shape_.row_tiling().tile_extent(r));
-    BSTC_CHECK(entry.tile.cols() == shape_.col_tiling().tile_extent(c));
-    cached_bytes_ += entry.tile.bytes();
-    peak_cached_bytes_ = std::max(peak_cached_bytes_, cached_bytes_);
-    ++generations_[k];
-    // Process-wide generation counter: the distributed-serve metrics
-    // gather sums this across ranks to prove one-materialization-per-node
-    // (with a shared store it stays 0 on every worker).
-    obs::Registry::instance().counter_add("bstc_b_tiles_generated_total");
-    it = cache_.emplace(k, std::move(entry)).first;
+  // A tile whose generation is in flight is waited for, not generated
+  // again: the paper's runtime instantiates each tile at most once per
+  // node even under concurrent requests. If that generation fails, its
+  // entry is gone when we wake and this caller generates instead.
+  Entry* cached = nullptr;
+  generated_.wait(lock, [&] {
+    const auto it = cache_.find(k);
+    cached = it == cache_.end() ? nullptr : &it->second;
+    return cached == nullptr || cached->ready;
+  });
+  if (cached != nullptr) return *cached;
+  // Claim the tile with an in-flight entry, then generate it with the
+  // lock released so acquisitions of other tiles proceed meanwhile.
+  // Entries are nodes of an unordered_map: the reference survives
+  // rehashes, and only this caller erases or completes an in-flight one.
+  Entry& entry = cache_.emplace(k, Entry{}).first->second;
+  lock.unlock();
+  Tile tile;
+  try {
+    tile = generator_(r, c);
+    BSTC_CHECK(tile.rows() == shape_.row_tiling().tile_extent(r));
+    BSTC_CHECK(tile.cols() == shape_.col_tiling().tile_extent(c));
+  } catch (...) {
+    lock.lock();
+    cache_.erase(k);
+    generated_.notify_all();
+    throw;
   }
-  return it->second;
+  lock.lock();
+  entry.tile = std::move(tile);
+  entry.ready = true;
+  cached_bytes_ += entry.tile.bytes();
+  peak_cached_bytes_ = std::max(peak_cached_bytes_, cached_bytes_);
+  ++generations_[k];
+  // Process-wide generation counter: the distributed-serve metrics
+  // gather sums this across ranks to prove one-materialization-per-node
+  // (with a shared store it stays 0 on every worker).
+  obs::Registry::instance().counter_add("bstc_b_tiles_generated_total");
+  generated_.notify_all();
+  return entry;
 }
 
 const Tile& OnDemandMatrix::acquire(std::size_t r, std::size_t c) {
-  std::lock_guard lock(mutex_);
-  Entry& entry = locate_or_generate(r, c);
+  std::unique_lock lock(mutex_);
+  Entry& entry = locate_or_generate(lock, r, c);
   ++entry.pins;
   return entry.tile;
 }
@@ -61,8 +81,8 @@ void OnDemandMatrix::release(std::size_t r, std::size_t c) {
 }
 
 const Tile& OnDemandMatrix::acquire_persistent(std::size_t r, std::size_t c) {
-  std::lock_guard lock(mutex_);
-  Entry& entry = locate_or_generate(r, c);
+  std::unique_lock lock(mutex_);
+  Entry& entry = locate_or_generate(lock, r, c);
   entry.persistent = true;
   return entry.tile;
 }
@@ -71,7 +91,7 @@ std::size_t OnDemandMatrix::evict_unpinned() {
   std::lock_guard lock(mutex_);
   std::size_t freed = 0;
   for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.pins == 0) {
+    if (it->second.pins == 0 && it->second.ready) {
       freed += it->second.tile.bytes();
       it = cache_.erase(it);
     } else {

@@ -20,6 +20,7 @@
 /// across processes on a node). Engines and service sessions consume
 /// either backend unchanged.
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -50,7 +51,11 @@ class OnDemandMatrix final : public TileSource {
 
   /// Acquire tile (r, c): generates it on first acquisition, pins it in the
   /// cache, and returns a reference valid until the matching release().
-  /// Throws if (r, c) is a zero block.
+  /// The generator runs without the cache lock held, so other tiles can
+  /// be acquired meanwhile; concurrent acquirers of the same tile wait
+  /// for that one generation. If the generator throws, nothing is cached,
+  /// the error propagates, and the waiters retry. Throws if (r, c) is a
+  /// zero block.
   const Tile& acquire(std::size_t r, std::size_t c) override;
 
   /// Release a pinned tile; when the pin count reaches zero the tile is
@@ -74,8 +79,9 @@ class OnDemandMatrix final : public TileSource {
 
   /// Drop every cached tile with no outstanding pin — including
   /// persistent ones, whose mark is cleared (deterministic generators
-  /// make regeneration safe). The serving layer calls this between
-  /// iterations to bound the host B footprint. Returns the bytes freed.
+  /// make regeneration safe); tiles still being generated are skipped.
+  /// The serving layer calls this between iterations to bound the host
+  /// B footprint. Returns the bytes freed.
   std::size_t evict_unpinned() override;
 
   /// How many times tile (r, c) has been generated so far.
@@ -97,14 +103,20 @@ class OnDemandMatrix final : public TileSource {
     Tile tile;
     std::size_t pins = 0;
     bool persistent = false;
+    bool ready = false;  ///< false while the generator is still running
   };
 
   std::uint64_t key(std::size_t r, std::size_t c) const;
-  Entry& locate_or_generate(std::size_t r, std::size_t c);
+  /// Returns the ready entry of (r, c), generating it first if needed.
+  /// `lock` holds mutex_ on entry and exit; it is released while the
+  /// generator runs, so other tiles can be acquired meanwhile.
+  Entry& locate_or_generate(std::unique_lock<std::mutex>& lock,
+                            std::size_t r, std::size_t c);
 
   Shape shape_;
   TileGenerator generator_;
   mutable std::mutex mutex_;
+  std::condition_variable generated_;  ///< an in-flight entry settled
   std::unordered_map<std::uint64_t, Entry> cache_;
   std::unordered_map<std::uint64_t, std::size_t> generations_;
   std::size_t cached_bytes_ = 0;

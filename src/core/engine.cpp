@@ -6,6 +6,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "comm/transport.hpp"
 #include "plan/builder.hpp"
@@ -24,12 +25,22 @@ std::uint64_t tile_key(std::uint32_t a, std::uint32_t b) {
 }
 
 /// Device-resident data of one block while it is being processed.
+/// Devices share host memory, so A and B are staged by reference: the
+/// maps hold Tile::view()s of the host tiles, and only C is owned here.
 struct BlockResidence {
   std::unordered_map<std::uint64_t, Tile> b;  ///< key (k, j)
   std::unordered_map<std::uint64_t, Tile> c;  ///< key (i, j)
   std::unordered_map<std::uint64_t, Tile> a;  ///< key (i, k)
+  /// Per piece, the host B tiles its gen task acquired (parallel to
+  /// ColumnPiece::ks); the piece's load task stages views of them.
+  std::vector<std::vector<const Tile*>> host_b;
   std::mutex mutex;  ///< guards the maps (CPU staging vs device tasks)
 };
+
+/// A host tile staged on a device without copying its payload.
+Tile view_of(const Tile& host) {
+  return Tile::view(host.data(), host.rows(), host.cols());
+}
 
 /// Host-side state of one simulated rank.
 struct NodeState {
@@ -188,9 +199,15 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   std::vector<std::vector<BlockResidence>> residences(
       static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
+    const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
     residences[static_cast<std::size_t>(n)] =
-        std::vector<BlockResidence>(plan.nodes[static_cast<std::size_t>(n)]
-                                        .blocks.size());
+        std::vector<BlockResidence>(node_plan.blocks.size());
+    for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
+      auto& host_b = residences[static_cast<std::size_t>(n)][bi].host_b;
+      for (const ColumnPiece& piece : node_plan.blocks[bi].pieces) {
+        host_b.emplace_back(piece.ks.size(), nullptr);
+      }
+    }
   }
 
   TaskGraph graph;
@@ -220,6 +237,51 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     NodeState& ns = node_states[static_cast<std::size_t>(n)];
     const auto cpu_queue = static_cast<std::uint32_t>(n);
 
+    // --- Gen tasks, created first and in consumption order. ---
+    // They are the CPU queue's roots, which it runs in creation order.
+    // Round r holds the r-th block of every GPU, and within a round
+    // piece p of each such block comes before piece p + 1 of any, so
+    // every device gets its first piece early instead of waiting for
+    // the whole of another device's block.
+    std::map<std::uint32_t, std::vector<std::size_t>> blocks_of_gpu;
+    std::size_t rounds = 0;
+    for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
+      auto& blocks = blocks_of_gpu[node_plan.blocks[bi].gpu];
+      blocks.push_back(bi);
+      rounds = std::max(rounds, blocks.size());
+    }
+    std::vector<std::vector<TaskId>> gen_of_piece(node_plan.blocks.size());
+    for (std::size_t r = 0; r < rounds; ++r) {
+      for (std::size_t pi = 0;; ++pi) {
+        bool any = false;
+        for (const auto& [gpu, blocks] : blocks_of_gpu) {
+          if (r >= blocks.size()) continue;
+          const std::size_t bi = blocks[r];
+          const BlockPlan& block = node_plan.blocks[bi];
+          if (pi >= block.pieces.size()) continue;
+          any = true;
+          const ColumnPiece& piece = block.pieces[pi];
+          std::vector<const Tile*>& host_b =
+              residences[static_cast<std::size_t>(n)][bi].host_b[pi];
+          gen_of_piece[bi].push_back(graph.add_task(
+              "gen(n" + std::to_string(n) + ",b" + std::to_string(bi) +
+                  ",p" + std::to_string(pi) + ")",
+              cpu_queue, [&ns, &piece, &host_b, persistent_b] {
+                for (std::size_t x = 0; x < piece.ks.size(); ++x) {
+                  // Session mode: the tile survives across iterations
+                  // and staging takes no pin. Otherwise the pin taken
+                  // here is released by the block's store task.
+                  host_b[x] = persistent_b
+                                  ? &ns.b->acquire_persistent(piece.ks[x],
+                                                              piece.col)
+                                  : &ns.b->acquire(piece.ks[x], piece.col);
+                }
+              }));
+        }
+        if (!any) break;
+      }
+    }
+
     // Per GPU: the previous block's store task (for sequential-block
     // control edges).
     std::unordered_map<std::uint32_t, TaskId> prev_store_of_gpu;
@@ -248,38 +310,21 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                                       max_chunk_bytes)))
               : 1;
 
-      // --- Piece tasks: generate on CPU, then stage on the device. ---
+      // --- Piece tasks: stage the generated B tiles on the device. ---
       std::vector<TaskId> piece_loads;
       for (std::size_t pi = 0; pi < block.pieces.size(); ++pi) {
         const ColumnPiece& piece = block.pieces[pi];
-        const TaskId gen = graph.add_task(
-            "gen(n" + std::to_string(n) + ",b" + std::to_string(bi) + ",p" +
-                std::to_string(pi) + ")",
-            cpu_queue, [&ns, &piece, persistent_b] {
-              for (const std::uint32_t k : piece.ks) {
-                if (persistent_b) {
-                  // Session mode: tile survives across iterations (no pin).
-                  ns.b->acquire_persistent(k, piece.col);
-                } else {
-                  ns.b->acquire(k, piece.col);  // pin until staged
-                }
-              }
-            });
         const TaskId load = graph.add_task(
             "load(n" + std::to_string(n) + ",b" + std::to_string(bi) + ",p" +
                 std::to_string(pi) + ")",
             dq,
-            [&ns, &res, &dev, &piece, &c_shape, n, &plan, persistent_b] {
+            [&res, &dev, &piece, &c_shape, n, &plan,
+             &host_b = std::as_const(res.host_b[pi])] {
               dev.allocate(static_cast<std::size_t>(piece.bytes()));
               std::lock_guard lock(res.mutex);
-              for (const std::uint32_t k : piece.ks) {
-                const Tile& host = ns.b->acquire(k, piece.col);
-                res.b.emplace(tile_key(k, piece.col), host);  // h2d copy
-                ns.b->release(k, piece.col);  // matching pin from acquire
-                // Non-session mode: drop the gen task's pin too, so the
-                // host copy is discarded as soon as it is staged. Session
-                // mode took no gen pin (persistent acquisition).
-                if (!persistent_b) ns.b->release(k, piece.col);
+              for (std::size_t x = 0; x < piece.ks.size(); ++x) {
+                res.b.emplace(tile_key(piece.ks[x], piece.col),
+                              view_of(*host_b[x]));
               }
               // Stage C tiles of this column for the slice rows
               // (zero-initialised; any initial C is added at assembly).
@@ -298,7 +343,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                 }
               }
             });
-        graph.add_edge(gen, load, EdgeKind::kData);
+        graph.add_edge(gen_of_piece[bi][pi], load, EdgeKind::kData);
         piece_loads.push_back(load);
       }
 
@@ -321,6 +366,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                 // Explicit transport: stall until the message arrived
                 // (the send tasks are dependence-free roots, so progress
                 // is guaranteed). Bytes are recorded by the transport.
+                // Either source outlives the run: mailbox entries are
+                // never evicted, and `a` is the caller's.
                 const Tile& host =
                     (transport && remote)
                         ? transport->mailbox(n).wait(tile_key(i, k))
@@ -331,7 +378,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                     comm.record(home, n, static_cast<double>(host.bytes()));
                   }
                 }
-                res.a.emplace(tile_key(i, k), host);  // h2d copy
+                res.a.emplace(tile_key(i, k), view_of(host));
               }
             });
         chunk_loads.push_back(load);
@@ -396,7 +443,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       // --- Store task: flush C to the host store, free the block. ---
       const TaskId store = graph.add_task(
           "store(n" + std::to_string(n) + ",b" + std::to_string(bi) + ")",
-          dq, [&ns, &res, &dev, &block] {
+          dq, [&ns, &res, &dev, &block, persistent_b] {
             std::lock_guard lock(res.mutex);
             {
               std::lock_guard node_lock(ns.mutex);
@@ -411,6 +458,15 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
             }
             res.c.clear();
             res.b.clear();
+            // Drop the gen tasks' pins now that no view of the tiles is
+            // left (session mode took none).
+            if (!persistent_b) {
+              for (const ColumnPiece& piece : block.pieces) {
+                for (const std::uint32_t k : piece.ks) {
+                  ns.b->release(k, piece.col);
+                }
+              }
+            }
             dev.release(static_cast<std::size_t>(block.bytes));
           });
       for (const auto& gemms : chunk_gemms) {
@@ -447,8 +503,12 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   const SchedulerStats sched = run_graph(graph, num_queues);
 
   // --- Assemble the global C and count return traffic. ---
+  // The first contribution to a tile is moved in (a GEMM that starts
+  // from +0.0 never yields -0.0, so this equals adding it to zero
+  // bitwise); later ones (segmented columns, several nodes) are added.
+  // Only tiles nobody computed are zero-allocated.
   EngineResult result;
-  result.c = BlockSparseMatrix(c_shape);
+  std::unordered_map<std::uint64_t, Tile> assembled;  // key (i, j)
   for (int n = 0; n < num_nodes; ++n) {
     if (distributed && n != cfg.local_rank) continue;
     NodeState& ns = node_states[static_cast<std::size_t>(n)];
@@ -457,19 +517,29 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       const auto i = static_cast<std::uint32_t>(key >> 32);
       const auto j = static_cast<std::uint32_t>(key & 0xffffffffu);
       result.computed_c_tiles.emplace_back(i, j);
-      result.c.tile(i, j).axpy(1.0, tile);
       const int home = plan.grid.home_of(i, j);
       if (home != plan.grid.node_id(node_plan.grid_row, node_plan.grid_col)) {
         comm.record(plan.grid.node_id(node_plan.grid_row, node_plan.grid_col),
                     home, static_cast<double>(tile.bytes()));
         result.c_network_bytes += static_cast<double>(tile.bytes());
       }
+      // try_emplace leaves `tile` untouched when the key already exists.
+      const auto [it, first] = assembled.try_emplace(key, std::move(tile));
+      if (!first) it->second.axpy(1.0, tile);
     }
     result.b_max_generations =
         std::max(result.b_max_generations, ns.b->max_generation_count());
     result.host_b_peak_bytes =
         std::max(result.host_b_peak_bytes, ns.b->peak_cached_bytes());
   }
+  result.c = BlockSparseMatrix(c_shape, [&](std::size_t i, std::size_t j) {
+    const auto it = assembled.find(tile_key(static_cast<std::uint32_t>(i),
+                                            static_cast<std::uint32_t>(j)));
+    return it != assembled.end()
+               ? std::move(it->second)
+               : Tile(c_shape.row_tiling().tile_extent(i),
+                      c_shape.col_tiling().tile_extent(j));
+  });
   // c_store is hash-ordered; sort so the recorded set is deterministic.
   std::sort(result.computed_c_tiles.begin(), result.computed_c_tiles.end());
   if (c_init != nullptr) {

@@ -69,7 +69,7 @@ struct EngineConfig {
   /// When non-null, the per-node B sources live here and survive across
   /// calls — the serving layer's session path: B tiles are held
   /// persistently (TileSource::acquire_persistent) instead of being
-  /// discarded after device staging, so later iterations of a CCSD-style
+  /// discarded when their block is done, so later iterations of a CCSD-style
   /// loop skip regeneration entirely (b_max_generations stays <= 1 for
   /// the whole session). The slots may hold either backend of the
   /// TileSource seam: generator-backed OnDemandMatrix caches (the engine
@@ -77,9 +77,10 @@ struct EngineConfig {
   /// shm::SharedStoreSource readers the caller pre-filled. The vector
   /// must then be passed unchanged (same plan/shapes) on every subsequent
   /// call; the owner may call evict_unpinned() on the entries between
-  /// iterations to bound host memory. When null (default), each call uses
-  /// fresh per-node generator caches and tiles are discarded as soon as
-  /// they are staged.
+  /// iterations to bound host memory; the engine takes no pins in session
+  /// mode, so a completed or aborted call leaves every entry evictable.
+  /// When null (default), each call uses fresh per-node generator caches
+  /// and each tile is discarded when the last block staging it is stored.
   std::vector<std::unique_ptr<TileSource>>* b_cache = nullptr;
 };
 
@@ -95,7 +96,9 @@ struct EngineResult {
   std::size_t b_max_generations = 0;  ///< max per-node generation count of
                                       ///< any B tile (1 = at-most-once held)
   /// Largest per-node host footprint of the B cache (the §3.1 "pressure
-  /// on CPU memory" of replicating B columns across grid rows).
+  /// on CPU memory" of replicating B columns across grid rows). Devices
+  /// stage B by reference, so this is also all the memory B occupies:
+  /// a tile stays cached from generation until its block is stored.
   std::size_t host_b_peak_bytes = 0;
   /// The (i, j) coordinates of every C tile this run computed, in the
   /// deterministic assembly order. In distributed single-rank mode this

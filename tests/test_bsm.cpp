@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -296,6 +300,114 @@ TEST(OnDemandMatrix, ConcurrentAcquireReleaseKeepsInvariants) {
     for (std::size_t c = 0; c < s.tile_cols(); ++c) m.release(r, c);
   }
   EXPECT_EQ(m.cached_bytes(), 0u);
+}
+
+TEST(OnDemandMatrix, GenerationRunsOutsideTheLock) {
+  // While tile X = (0, 0) is being generated, an acquire of another tile
+  // Y = (1, 0) must not wait for it: generation runs with the cache lock
+  // released. Evicting meanwhile must leave the in-flight X alone.
+  const Shape s = Shape::dense(tiles({4, 4}), tiles({4}));
+  const TileGenerator inner = random_tile_generator(s, 3);
+  std::latch x_started(1);
+  std::latch x_may_finish(1);
+  OnDemandMatrix m(s, [&](std::size_t r, std::size_t c) {
+    if (r == 0) {
+      x_started.count_down();
+      x_may_finish.wait();
+    }
+    return inner(r, c);
+  });
+
+  std::thread x_thread([&m] { m.acquire(0, 0); });
+  x_started.wait();
+  auto y = std::async(std::launch::async,
+                      [&m] { return m.acquire_persistent(1, 0).bytes(); });
+  const bool y_done =
+      y.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (y_done) {
+    EXPECT_EQ(m.evict_unpinned(), 4u * 4u * sizeof(double));  // Y, not X
+  }
+  x_may_finish.count_down();  // unblock X either way, so nothing hangs
+  x_thread.join();
+  ASSERT_TRUE(y_done) << "acquire(Y) waited for the generation of X";
+  EXPECT_EQ(y.get(), 4u * 4u * sizeof(double));
+  EXPECT_EQ(m.generation_count(0, 0), 1u);
+  EXPECT_EQ(m.cached_bytes(), 4u * 4u * sizeof(double));  // X only
+  m.release(0, 0);
+  EXPECT_EQ(m.cached_bytes(), 0u);
+}
+
+TEST(OnDemandMatrix, ConcurrentAcquireGeneratesOnce) {
+  // Threads that acquire a tile while its generation is in flight wait
+  // for that generation instead of starting their own.
+  const Shape s = Shape::dense(tiles({6}), tiles({5}));
+  const TileGenerator inner = random_tile_generator(s, 4);
+  OnDemandMatrix m(s, [&inner](std::size_t r, std::size_t c) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return inner(r, c);
+  });
+
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      if (m.acquire(0, 0).at(2, 3) != inner(0, 0).at(2, 3)) ++mismatches;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(m.generation_count(0, 0), 1u);
+  EXPECT_EQ(m.cached_bytes(), 6u * 5u * sizeof(double));
+  for (int t = 0; t < kThreads; ++t) m.release(0, 0);
+  EXPECT_EQ(m.cached_bytes(), 0u);
+}
+
+TEST(OnDemandMatrix, ThrowingGeneratorLeavesNoEntry) {
+  // The first generation of the tile fails after other threads started
+  // waiting for it: the failing caller sees the error, the waiters wake
+  // and one of them regenerates, and no bytes of the failed attempt stay
+  // accounted.
+  const Shape s = Shape::dense(tiles({3}), tiles({7}));
+  const TileGenerator inner = random_tile_generator(s, 5);
+  std::atomic<int> calls{0};
+  std::latch first_started(1);
+  std::latch first_may_throw(1);
+  OnDemandMatrix m(s, [&](std::size_t r, std::size_t c) {
+    if (calls.fetch_add(1) == 0) {
+      first_started.count_down();
+      first_may_throw.wait();
+      throw std::runtime_error("generator failed");
+    }
+    return inner(r, c);
+  });
+
+  std::thread failing([&m] {
+    EXPECT_THROW(m.acquire(0, 0), std::runtime_error);
+  });
+  first_started.wait();
+  constexpr int kWaiters = 3;
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < kWaiters; ++t) {
+    waiters.emplace_back([&m, &inner] {
+      EXPECT_EQ(m.acquire(0, 0).at(1, 4), inner(0, 0).at(1, 4));
+    });
+  }
+  // Give the waiters time to block on the in-flight entry.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  first_may_throw.count_down();
+  failing.join();
+  for (std::thread& t : waiters) t.join();
+
+  EXPECT_EQ(calls.load(), 2);  // the failure, then one regeneration
+  EXPECT_EQ(m.generation_count(0, 0), 1u);
+  EXPECT_EQ(m.cached_bytes(), 3u * 7u * sizeof(double));
+  for (int t = 0; t < kWaiters; ++t) m.release(0, 0);
+  EXPECT_EQ(m.cached_bytes(), 0u);
+  EXPECT_EQ(m.evict_unpinned(), 0u);
 }
 
 }  // namespace

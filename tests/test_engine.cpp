@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <tuple>
 
 #include "bsm/block_sparse_matrix.hpp"
 #include "comm/comm.hpp"
 #include "core/engine.hpp"
+#include "obs/obs.hpp"
 #include "plan/builder.hpp"
 #include "plan/serialize.hpp"
 #include "shape/shape_algebra.hpp"
@@ -237,6 +240,92 @@ TEST(Engine, InspectOnceExecuteMany) {
     EXPECT_LT(result.c.max_abs_diff(expected), 1e-10)
         << "iteration " << iteration;
   }
+}
+
+TEST(Engine, SessionStagingLeavesNoPins) {
+  // Session mode stages persistent B tiles without pinning them, so a
+  // completed call leaves nothing pinned: evicting every cache entry
+  // returns the host B footprint to zero. Checked on the default plan
+  // and on a first-fit plan with several blocks per device.
+  EngineHarness h(48, 200, 200, 0.7, 0.6, 61);
+  const BlockSparseMatrix expected = h.reference();
+  MachineModel machine = MachineModel::summit_gpus(2);
+  EngineConfig worst_fit;
+  EngineConfig first_fit;
+  first_fit.plan.packing = PackingPolicy::kFirstFit;
+  for (const auto& [memory, cfg_in] :
+       std::vector<std::pair<double, EngineConfig>>{{1.0e6, worst_fit},
+                                                    {1.0e5, first_fit}}) {
+    machine.node.gpu.memory_bytes = memory;
+    const ExecutionPlan plan =
+        build_plan(h.a.shape(), h.b_shape, h.c_shape, machine, cfg_in.plan);
+    ASSERT_EQ(plan.nodes.size(), 1u);
+    std::map<std::uint32_t, int> blocks_per_gpu;
+    for (const BlockPlan& block : plan.nodes[0].blocks) {
+      ++blocks_per_gpu[block.gpu];
+    }
+    ASSERT_EQ(blocks_per_gpu.size(), 2u);
+    if (cfg_in.plan.packing == PackingPolicy::kFirstFit) {
+      ASSERT_GT(blocks_per_gpu[0], 1);
+      ASSERT_GT(blocks_per_gpu[1], 1);
+    }
+
+    std::vector<std::unique_ptr<TileSource>> b_cache;
+    EngineConfig cfg = cfg_in;
+    cfg.b_cache = &b_cache;
+    for (int iteration = 0; iteration < 2; ++iteration) {
+      const EngineResult result =
+          contract_with_plan(plan, h.a, h.b_shape, h.b_gen, h.c_shape,
+                             nullptr, machine, cfg);
+      EXPECT_LT(result.c.max_abs_diff(expected), 1e-10);
+      EXPECT_EQ(result.b_max_generations, 1u);
+    }
+    ASSERT_EQ(b_cache.size(), 1u);
+    EXPECT_GT(b_cache[0]->cached_bytes(), 0u);
+    b_cache[0]->evict_unpinned();
+    EXPECT_EQ(b_cache[0]->cached_bytes(), 0u)
+        << "pinned B tiles left behind, memory " << memory;
+  }
+}
+
+TEST(Engine, GenerationFollowsConsumptionOrder) {
+  // The CPU queue generates B in the order the devices consume it: the
+  // first piece of the second device's first block comes before the
+  // second piece of the first device's, so device 1 does not idle while
+  // all of device 0's block is generated.
+  EngineHarness h(48, 200, 200, 0.7, 0.6, 67);
+  MachineModel machine = MachineModel::summit_gpus(2);
+  machine.node.gpu.memory_bytes = 1.0e6;
+  const EngineConfig cfg;
+  const ExecutionPlan plan =
+      build_plan(h.a.shape(), h.b_shape, h.c_shape, machine, cfg.plan);
+  ASSERT_EQ(plan.nodes.size(), 1u);
+  const std::vector<BlockPlan>& blocks = plan.nodes[0].blocks;
+  ASSERT_GE(blocks.size(), 2u);
+  ASSERT_EQ(blocks[0].gpu, 0u);
+  ASSERT_EQ(blocks[1].gpu, 1u);
+  ASSERT_GE(blocks[0].pieces.size(), 2u);
+  ASSERT_GE(blocks[1].pieces.size(), 2u);
+
+  obs::Registry& reg = obs::Registry::instance();
+  reg.clear();
+  reg.set_enabled(true);
+  const EngineResult result = contract_with_plan(
+      plan, h.a, h.b_shape, h.b_gen, h.c_shape, nullptr, machine, cfg);
+  const std::vector<obs::Span> spans = reg.spans();
+  reg.clear();
+  reg.set_enabled(false);
+  EXPECT_LT(result.c.max_abs_diff(h.reference()), 1e-10);
+
+  std::map<std::string, double> cpu_start;
+  for (const obs::Span& s : spans) {
+    if (s.category == obs::Category::kTask && s.lane == 0) {
+      cpu_start[s.name] = s.start_s;
+    }
+  }
+  ASSERT_EQ(cpu_start.count("gen(n0,b1,p0)"), 1u);
+  ASSERT_EQ(cpu_start.count("gen(n0,b0,p1)"), 1u);
+  EXPECT_LT(cpu_start["gen(n0,b1,p0)"], cpu_start["gen(n0,b0,p1)"]);
 }
 
 /// Parameterized sweep over problem densities and grid shapes.
