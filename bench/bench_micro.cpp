@@ -6,6 +6,7 @@
 
 #include "plan/builder.hpp"
 #include "plan/column_assignment.hpp"
+#include "runtime/compute_pool.hpp"
 #include "runtime/scheduler.hpp"
 #include "shape/shape_algebra.hpp"
 #include "tile/gemm.hpp"
@@ -102,6 +103,26 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_SchedulerThroughput)->Arg(1000)->Arg(10000);
+
+void BM_PoolForkJoin(benchmark::State& state) {
+  // One empty ComputePool::parallel_for round trip with one unit per
+  // member: wake the helpers, claim, finish, wake the caller. The grain
+  // constants of the gemmbatch column split (tile/gemm.cpp) and of the
+  // B-generation fan-out (core/engine.cpp) are sized against this.
+  const auto members = static_cast<unsigned>(state.range(0));
+  ComputePool pool(members);
+  std::vector<std::size_t> touched(members, 0);
+  const std::function<void(std::size_t)> unit = [&touched](std::size_t u) {
+    ++touched[u];
+  };
+  for (auto _ : state) {
+    pool.parallel_for(members, unit);
+    benchmark::DoNotOptimize(touched.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolForkJoin)->DenseRange(1, 4)->UseRealTime();
 
 void BM_FullInspector(benchmark::State& state) {
   const ShapePair s =

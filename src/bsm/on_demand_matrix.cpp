@@ -87,6 +87,12 @@ const Tile& OnDemandMatrix::acquire_persistent(std::size_t r, std::size_t c) {
   return entry.tile;
 }
 
+bool OnDemandMatrix::resident(std::size_t r, std::size_t c) const {
+  std::lock_guard lock(mutex_);
+  const auto it = cache_.find(key(r, c));
+  return it != cache_.end() && it->second.ready;
+}
+
 std::size_t OnDemandMatrix::evict_unpinned() {
   std::lock_guard lock(mutex_);
   std::size_t freed = 0;

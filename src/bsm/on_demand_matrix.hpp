@@ -77,6 +77,9 @@ class OnDemandMatrix final : public TileSource {
   /// persistent tile that was never pinned is still an error.
   const Tile& acquire_persistent(std::size_t r, std::size_t c) override;
 
+  /// True when (r, c) is cached and its generation has finished.
+  bool resident(std::size_t r, std::size_t c) const override;
+
   /// Drop every cached tile with no outstanding pin — including
   /// persistent ones, whose mark is cleared (deterministic generators
   /// make regeneration safe); tiles still being generated are skipped.

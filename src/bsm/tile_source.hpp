@@ -43,6 +43,13 @@ class TileSource {
   /// evict_unpinned() (generator backends) or forever (shared stores).
   virtual const Tile& acquire_persistent(std::size_t r, std::size_t c) = 0;
 
+  /// True when acquiring (r, c) now would not materialize it — the tile
+  /// is already cached (generator backends) or always there (shared
+  /// stores). Lets a caller resolve hits inline and fan only misses out;
+  /// the answer may be stale by the time of the acquire, which is correct
+  /// either way.
+  virtual bool resident(std::size_t r, std::size_t c) const = 0;
+
   /// Drop every cached tile with no outstanding pin; returns the bytes
   /// freed. Zero-copy backends own no private cache and return 0.
   virtual std::size_t evict_unpinned() = 0;

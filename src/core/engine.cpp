@@ -10,6 +10,7 @@
 
 #include "comm/transport.hpp"
 #include "plan/builder.hpp"
+#include "runtime/compute_pool.hpp"
 #include "runtime/device.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
@@ -40,6 +41,26 @@ struct BlockResidence {
 /// A host tile staged on a device without copying its payload.
 Tile view_of(const Tile& host) {
   return Tile::view(host.data(), host.rows(), host.cols());
+}
+
+/// Smallest mean B-tile miss, in elements, worth fanning a piece's misses
+/// out to the compute pool one tile per unit. An empty
+/// ComputePool::parallel_for round trip costs 1.4-3 us with helpers
+/// (bench_micro BM_PoolForkJoin, 3-4 threads); a 16k-element tile takes
+/// ~33 us to generate even at the cheapest generator's rate
+/// (random_tile_generator, ~2 ns per element), so the fork-join stays a
+/// small fraction of each unit. Smaller tiles stay on the CPU lane.
+constexpr double kGenGrainElements = 16384.0;
+
+/// Ranks sharing this process's host, which split its cores between
+/// them: in distributed mode the ranks node_of_rank places on the local
+/// rank's node; 1 when this process runs every rank, or when the map is
+/// empty (every rank its own node).
+unsigned ranks_on_host(const EngineConfig& cfg) {
+  if (cfg.local_rank < 0 || cfg.node_of_rank.empty()) return 1;
+  const int host = bcast_node_of(cfg.node_of_rank, cfg.local_rank);
+  return static_cast<unsigned>(std::count(cfg.node_of_rank.begin(),
+                                          cfg.node_of_rank.end(), host));
 }
 
 /// Host-side state of one simulated rank.
@@ -139,6 +160,9 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   CommRecorder comm(num_nodes);
+  // Lanes lend their divisible work (gemmbatch column panels, a piece's
+  // missing B tiles) to the host's otherwise idle cores.
+  ComputePool& pool = ComputePool::process(ranks_on_host(cfg));
 
   // Distributed single-rank mode: build and run only local_rank's share
   // of the DAG against an external (network) transport.
@@ -266,15 +290,41 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
           gen_of_piece[bi].push_back(graph.add_task(
               "gen(n" + std::to_string(n) + ",b" + std::to_string(bi) +
                   ",p" + std::to_string(pi) + ")",
-              cpu_queue, [&ns, &piece, &host_b, persistent_b] {
-                for (std::size_t x = 0; x < piece.ks.size(); ++x) {
-                  // Session mode: the tile survives across iterations
-                  // and staging takes no pin. Otherwise the pin taken
-                  // here is released by the block's store task.
+              cpu_queue,
+              [&ns, &piece, &host_b, &b_shape, &pool, persistent_b] {
+                // Session mode: the tile survives across iterations and
+                // staging takes no pin. Otherwise the pin taken here is
+                // released by the block's store task.
+                auto acquire = [&](std::size_t x) {
                   host_b[x] = persistent_b
                                   ? &ns.b->acquire_persistent(piece.ks[x],
                                                               piece.col)
                                   : &ns.b->acquire(piece.ks[x], piece.col);
+                };
+                // Cached tiles resolve inline; the misses are generated
+                // tile by tile on the pool when they are large enough.
+                std::vector<std::size_t> misses;
+                double miss_elements = 0.0;
+                const Index cols =
+                    b_shape.col_tiling().tile_extent(piece.col);
+                for (std::size_t x = 0; x < piece.ks.size(); ++x) {
+                  if (ns.b->resident(piece.ks[x], piece.col)) {
+                    acquire(x);
+                  } else {
+                    misses.push_back(x);
+                    miss_elements += static_cast<double>(
+                        b_shape.row_tiling().tile_extent(piece.ks[x]) * cols);
+                  }
+                }
+                if (misses.size() < 2 ||
+                    miss_elements <
+                        kGenGrainElements *
+                            static_cast<double>(misses.size())) {
+                  for (const std::size_t x : misses) acquire(x);
+                } else {
+                  pool.parallel_for(misses.size(), [&](std::size_t u) {
+                    acquire(misses[u]);
+                  });
                 }
               }));
         }
@@ -391,9 +441,10 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
               "gemmbatch(" + std::to_string(grp.k) + "," +
                   std::to_string(grp.j) + ",x" +
                   std::to_string(grp.is.size()) + ")",
-              dq, [&res, grp] {
-                // Single-threaded device queue: no two GEMM tasks of this
-                // device run concurrently, so C accumulation is safe.
+              dq, [&res, &pool, grp] {
+                // A device queue runs one task at a time, so no other GEMM
+                // task touches these C tiles meanwhile; the pool's column
+                // panels of this one write disjoint columns.
                 const Tile& bt = res.b.at(tile_key(grp.k, grp.j));
                 std::vector<GemmBatchItem> items;
                 items.reserve(grp.is.size());
@@ -403,7 +454,9 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                 }
                 // One autotuned kernel for the whole shared-B group.
                 const MicroKernel& mk = select_batch_microkernel(items, bt);
-                gemm_batch_with(mk, 1.0, items, bt, 1.0);
+                gemm_batch_split(pool,
+                                 gemm_batch_panels(mk, items, bt, pool.size()),
+                                 mk, 1.0, items, bt, 1.0);
               });
           chunk_gemms[ci].push_back(g);
           // Dataflow: the batch needs the piece owning its B tile staged.

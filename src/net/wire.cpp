@@ -140,6 +140,9 @@ std::string WireReader::str() {
 }
 
 void WireReader::raw(void* out, std::size_t size) {
+  // A zero-extent tile has no buffer: memcpy from or to null is UB even
+  // for zero bytes.
+  if (size == 0) return;
   BSTC_REQUIRE(size <= remaining(), "wire: truncated payload");
   std::memcpy(out, data_ + pos_, size);
   pos_ += size;

@@ -232,6 +232,10 @@ const Tile& SharedStoreSource::acquire_persistent(std::size_t r,
   return reader_->tile(r, c);
 }
 
+bool SharedStoreSource::resident(std::size_t, std::size_t) const {
+  return true;
+}
+
 std::size_t SharedStoreSource::evict_unpinned() { return 0; }
 
 std::size_t SharedStoreSource::total_generations() const { return 0; }

@@ -127,6 +127,7 @@ class SharedStoreSource final : public TileSource {
   const Tile& acquire(std::size_t r, std::size_t c) override;
   void release(std::size_t r, std::size_t c) override;
   const Tile& acquire_persistent(std::size_t r, std::size_t c) override;
+  bool resident(std::size_t r, std::size_t c) const override;
   std::size_t evict_unpinned() override;
   std::size_t total_generations() const override;
   std::size_t max_generation_count() const override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "runtime/compute_pool.hpp"
 #include "support/error.hpp"
 #include "tile/autotune.hpp"
 #include "tile/cpu_features.hpp"
@@ -112,6 +113,14 @@ void macro_kernel(const MicroKernel& mk, Index mc, Index nc, Index kc,
 }
 
 thread_local std::uint64_t t_batch_a_packs = 0;
+
+/// Smallest share of a batch worth one pool unit. An empty
+/// ComputePool::parallel_for round trip costs 1.4-3 us with helpers
+/// (bench_micro BM_PoolForkJoin, 3-4 threads); a 4 Mflop panel runs ~100 us
+/// at the single-thread kernel rate (~40 Gflop/s), so the fork-join stays
+/// a few percent of it. A coarse grain also bounds the A re-packing that
+/// every extra panel adds.
+constexpr double kPanelGrainFlops = 4.0e6;
 
 }  // namespace
 
@@ -233,9 +242,10 @@ const MicroKernel& select_batch_microkernel(
   return select_microkernel(mean_m, b.rows(), b.cols());
 }
 
-void gemm_batch_with(const MicroKernel& mk, double alpha,
-                     std::span<const GemmBatchItem> items, const Tile& b,
-                     double beta) {
+namespace {
+
+/// Conformance of every item; returns the largest A-row extent.
+Index check_batch(std::span<const GemmBatchItem> items, const Tile& b) {
   Index max_m = 0;
   for (const GemmBatchItem& item : items) {
     BSTC_REQUIRE(item.a != nullptr && item.c != nullptr,
@@ -243,7 +253,16 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
     check_conformance(*item.a, b, *item.c);
     max_m = std::max(max_m, item.a->rows());
   }
+  return max_m;
+}
 
+/// The single-thread batch loop over columns [j0, j1) of B and C. With
+/// j0 a multiple of the kernel's NR, every micro-kernel call sees the same
+/// NR-column panel, KC block and MC block as in the whole-width call, so
+/// each C element gets the identical FMA chain.
+void batch_columns(const MicroKernel& mk, double alpha,
+                   std::span<const GemmBatchItem> items, const Tile& b,
+                   double beta, Index max_m, Index j0, Index j1) {
   // beta exactly once per distinct C tile: items may alias outputs.
   std::vector<double*> scaled;
   scaled.reserve(items.size());
@@ -251,10 +270,11 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
     double* p = item.c->data();
     if (std::find(scaled.begin(), scaled.end(), p) == scaled.end()) {
       scaled.push_back(p);
-      scale(beta, *item.c);
+      scale_view(item.c->rows(), j1 - j0, beta, p + j0 * item.c->ld(),
+                 item.c->ld());
     }
   }
-  const Index k = b.rows(), n = b.cols();
+  const Index k = b.rows(), n = j1 - j0;
   if (alpha == 0.0 || max_m <= 0 || n <= 0 || k <= 0) return;
 
   const KernelGeometry& g = mk.geom;
@@ -276,8 +296,8 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
 
   // The shared B panel is packed once per (jc, pc) for the whole group —
   // this is the point of batching: every item reuses it from cache.
-  for (Index jc = 0; jc < n; jc += g.nc) {
-    const Index nc = std::min(g.nc, n - jc);
+  for (Index jc = j0; jc < j1; jc += g.nc) {
+    const Index nc = std::min(g.nc, j1 - jc);
     for (Index pc = 0; pc < k; pc += kPackKC) {
       const Index kc = std::min(kPackKC, k - pc);
       pack_b(kc, nc, b.data() + pc + jc * b.ld(), b.ld(), bp, g.nr);
@@ -301,6 +321,51 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
       }
     }
   }
+}
+
+}  // namespace
+
+void gemm_batch_with(const MicroKernel& mk, double alpha,
+                     std::span<const GemmBatchItem> items, const Tile& b,
+                     double beta) {
+  const Index max_m = check_batch(items, b);
+  batch_columns(mk, alpha, items, b, beta, max_m, 0, b.cols());
+}
+
+Index gemm_batch_panels(const MicroKernel& mk,
+                        std::span<const GemmBatchItem> items, const Tile& b,
+                        unsigned members) {
+  double flops = 0.0;
+  for (const GemmBatchItem& item : items) {
+    if (item.a != nullptr) flops += gemm_flops(*item.a, b);
+  }
+  const Index nr_panels = (b.cols() + mk.geom.nr - 1) / mk.geom.nr;
+  const auto by_grain = static_cast<Index>(flops / kPanelGrainFlops);
+  return std::max<Index>(
+      1, std::min({static_cast<Index>(members), nr_panels, by_grain}));
+}
+
+void gemm_batch_split(ComputePool& pool, Index panels, const MicroKernel& mk,
+                      double alpha, std::span<const GemmBatchItem> items,
+                      const Tile& b, double beta) {
+  const Index max_m = check_batch(items, b);
+  const Index n = b.cols(), nr = mk.geom.nr;
+  // Units take an equal share of whole NR-column panels, so every cut
+  // falls on a multiple of NR and no unit is empty.
+  const Index nr_panels = std::max<Index>(1, (n + nr - 1) / nr);
+  const Index wanted = std::clamp<Index>(panels, 1, nr_panels);
+  const Index per_unit = (nr_panels + wanted - 1) / wanted;
+  const Index units = (nr_panels + per_unit - 1) / per_unit;
+  if (units == 1) {
+    batch_columns(mk, alpha, items, b, beta, max_m, 0, n);
+    return;
+  }
+  const Index width = per_unit * nr;
+  pool.parallel_for(static_cast<std::size_t>(units), [&](std::size_t u) {
+    const Index j0 = static_cast<Index>(u) * width;
+    batch_columns(mk, alpha, items, b, beta, max_m, j0,
+                  std::min(j0 + width, n));
+  });
 }
 
 void gemm_batch(double alpha, std::span<const GemmBatchItem> items,

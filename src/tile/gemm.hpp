@@ -26,6 +26,10 @@
 ///
 /// The *_with variants run a caller-chosen zoo kernel (engines select
 /// once per batch; benches and tests pin geometries explicitly).
+///
+/// gemm_batch_split() spreads one batch over a ComputePool by column
+/// panels; gemm_batch_with() itself stays single-threaded — it is both the
+/// body of each panel and the single-thread ceiling the benchmarks quote.
 
 #include <span>
 
@@ -33,6 +37,8 @@
 #include "tile/tile.hpp"
 
 namespace bstc {
+
+class ComputePool;
 
 /// C <- alpha*A*B + beta*C, reference triple-loop implementation.
 void gemm_naive(double alpha, const Tile& a, const Tile& b, double beta,
@@ -78,6 +84,24 @@ void gemm_batch(double alpha, std::span<const GemmBatchItem> items,
 void gemm_batch_with(const MicroKernel& mk, double alpha,
                      std::span<const GemmBatchItem> items, const Tile& b,
                      double beta);
+
+/// How many column panels gemm_batch_split should cut this batch into on
+/// a pool of `members` threads: at most one per member, no more than B
+/// has NR-column panels, and none carrying fewer flops than a fixed grain
+/// (the fork-join cost, see gemm.cpp). 1 means "run it on the caller".
+Index gemm_batch_panels(const MicroKernel& mk,
+                        std::span<const GemmBatchItem> items, const Tile& b,
+                        unsigned members);
+
+/// gemm_batch_with split into `panels` column panels of B and C, cut at
+/// multiples of the kernel's NR and run on `pool` (the caller takes part).
+/// Each panel runs the same single-thread loop over its columns, so every
+/// C element keeps its one k-ordered FMA chain and the result is
+/// bitwise-identical to gemm_batch_with for any panel count and pool size;
+/// aliased outputs keep their item order within each panel.
+void gemm_batch_split(ComputePool& pool, Index panels, const MicroKernel& mk,
+                      double alpha, std::span<const GemmBatchItem> items,
+                      const Tile& b, double beta);
 
 /// The autotuner's choice for a shared-B batch: one kernel for the whole
 /// group (the B panel is packed once, so the geometry must be uniform),

@@ -1,11 +1,30 @@
 #include "tile/tile.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "support/error.hpp"
 
 namespace bstc {
+
+void* allocate_tile_storage(std::size_t bytes) {
+  if (bytes < kMappedTileBytes) return ::operator new(bytes);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void release_tile_storage(void* p, std::size_t bytes) noexcept {
+  if (bytes < kMappedTileBytes) {
+    ::operator delete(p);
+  } else {
+    ::munmap(p, bytes);
+  }
+}
 
 Tile::Tile(Index rows, Index cols)
     : rows_(rows), cols_(cols),

@@ -21,6 +21,38 @@
 
 namespace bstc {
 
+/// Storage of tile payloads. A payload of at least kMappedTileBytes gets
+/// its own anonymous mapping, returned to the kernel when the tile dies;
+/// smaller ones come from operator new. Large tiles are generated on
+/// whichever thread the compute pool lends, and freed on another: through
+/// malloc they would settle in that thread's arena, whose freed space
+/// stays resident and serves only that thread again, so a process's
+/// resident size would depend on which thread happened to allocate what.
+/// A mapping makes it follow the bytes of live tiles.
+inline constexpr std::size_t kMappedTileBytes = 128 * 1024;
+void* allocate_tile_storage(std::size_t bytes);
+void release_tile_storage(void* p, std::size_t bytes) noexcept;
+
+/// std::allocator stand-in that routes a tile's buffer through the two
+/// functions above.
+template <class T>
+struct TileStorageAllocator {
+  using value_type = T;
+  TileStorageAllocator() = default;
+  template <class U>
+  TileStorageAllocator(const TileStorageAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(allocate_tile_storage(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    release_tile_storage(p, n * sizeof(T));
+  }
+  template <class U>
+  bool operator==(const TileStorageAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 /// A dense rows x cols matrix of doubles, column-major.
 class Tile {
  public:
@@ -76,7 +108,7 @@ class Tile {
 
   Index rows_ = 0;
   Index cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, TileStorageAllocator<double>> data_;
   const double* view_ = nullptr;  ///< external storage when non-null
 };
 

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <map>
 #include <string>
 #include <tuple>
@@ -14,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "plan/builder.hpp"
 #include "plan/serialize.hpp"
+#include "runtime/compute_pool.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/error.hpp"
 
@@ -326,6 +332,110 @@ TEST(Engine, GenerationFollowsConsumptionOrder) {
   ASSERT_EQ(cpu_start.count("gen(n0,b1,p0)"), 1u);
   ASSERT_EQ(cpu_start.count("gen(n0,b0,p1)"), 1u);
   EXPECT_LT(cpu_start["gen(n0,b1,p0)"], cpu_start["gen(n0,b0,p1)"]);
+}
+
+/// A problem whose gemmbatches clear the column-split grain and whose
+/// pieces clear the generation fan-out grain, on 2 devices.
+EngineHarness pool_sized_problem() {
+  return EngineHarness(400, 1024, 384, 1.0, 0.6, 71, 128, 192);
+}
+
+MachineModel pool_sized_machine() {
+  MachineModel machine = MachineModel::summit_gpus(2);
+  machine.node.gpu.memory_bytes = 8.0e6;
+  return machine;
+}
+
+std::uint64_t counter(const char* name) {
+  const auto counters = obs::Registry::instance().counters();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+/// Tiles of `x` and `y` that differ in any bit (same shape assumed).
+int bitwise_mismatches(const BlockSparseMatrix& x, const BlockSparseMatrix& y,
+                       const Shape& shape) {
+  int mismatches = 0;
+  for (std::size_t i = 0; i < shape.tile_rows(); ++i) {
+    for (std::size_t j = 0; j < shape.tile_cols(); ++j) {
+      if (!shape.nonzero(i, j)) continue;
+      const Tile& a = x.tile(i, j);
+      const Tile& b = y.tile(i, j);
+      if (a.size() != b.size() ||
+          std::memcmp(a.data(), b.data(), a.bytes()) != 0) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(Engine, PoolSplitsBatchesAndGenerationExactly) {
+  // The lanes hand column panels and B-tile misses to the process pool;
+  // the product stays exact, B is generated once, budgets hold.
+  EngineHarness h = pool_sized_problem();
+  const MachineModel machine = pool_sized_machine();
+  const std::uint64_t fanouts = counter("bstc_pool_fanouts_total");
+  const EngineResult result = contract(h.a, h.b_shape, h.b_gen, h.c_shape,
+                                       nullptr, machine, EngineConfig{});
+  EXPECT_LT(result.c.max_abs_diff(h.reference()), 1e-9);
+  EXPECT_EQ(result.b_max_generations, 1u);
+  for (const std::size_t peak : result.device_peak_bytes) {
+    EXPECT_LE(peak, static_cast<std::size_t>(machine.node.gpu.memory_bytes));
+  }
+  if (ComputePool::process(1).size() > 1) {
+    EXPECT_GT(counter("bstc_pool_fanouts_total"), fanouts);
+  }
+}
+
+TEST(EnginePoolFork, OneCpuChildMatchesFullPoolBitwise) {
+  // C must not depend on the pool size: a child pinned to one CPU (its
+  // process pool has no helpers) reproduces the parent's full-pool C bit
+  // for bit. fork() keeps this test out of the TSan job.
+  if (process_pool_members(1) < 2) GTEST_SKIP() << "needs 3+ CPUs";
+  EngineHarness h = pool_sized_problem();
+  const MachineModel machine = pool_sized_machine();
+  const std::uint64_t fanouts = counter("bstc_pool_fanouts_total");
+  const EngineResult full = contract(h.a, h.b_shape, h.b_gen, h.c_shape,
+                                     nullptr, machine, EngineConfig{});
+  ASSERT_GT(ComputePool::process(1).size(), 1u);
+  ASSERT_GT(counter("bstc_pool_fanouts_total"), fanouts);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int rc = 0;
+    try {
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      if (sched_getaffinity(0, sizeof(set), &set) != 0) _exit(10);
+      int first = 0;
+      while (!CPU_ISSET(first, &set)) ++first;
+      CPU_ZERO(&set);
+      CPU_SET(first, &set);
+      if (sched_setaffinity(0, sizeof(set), &set) != 0) _exit(11);
+      const EngineResult one = contract(h.a, h.b_shape, h.b_gen, h.c_shape,
+                                        nullptr, machine, EngineConfig{});
+      if (ComputePool::process(1).size() != 1) rc = 12;
+      else if (bitwise_mismatches(one.c, full.c, h.c_shape) != 0) rc = 13;
+      else if (one.b_max_generations > 1) rc = 14;
+      for (const std::size_t peak : one.device_peak_bytes) {
+        if (peak > static_cast<std::size_t>(machine.node.gpu.memory_bytes)) {
+          rc = 15;
+        }
+      }
+    } catch (...) {
+      rc = 16;
+    }
+    _exit(rc);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "12: child pool has helpers, 13: C differs bitwise, 14: B "
+         "regenerated, 15: device budget exceeded, 16: exception";
+  EXPECT_LE(full.b_max_generations, 1u);
 }
 
 /// Parameterized sweep over problem densities and grid shapes.

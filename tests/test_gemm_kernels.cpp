@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/compute_pool.hpp"
 #include "support/error.hpp"
 #include "tile/cpu_features.hpp"
 #include "tile/gemm.hpp"
@@ -405,6 +406,82 @@ TEST(GemmKernels, BatchSkipsRedundantAPacksBitwiseEqual) {
       EXPECT_EQ(c3.at(i, j), e3.at(i, j)) << "(" << i << "," << j << ")";
     }
   }
+}
+
+TEST(GemmBatchSplit, BitwiseEqualsSingleThreadAcrossPoolSizes) {
+  // The column-panel split must be invisible in C: for pool sizes 1-4,
+  // every kernel of the active ISA and every fringe-lattice shape, the
+  // split batch (aliased outputs included, beta applied once) equals
+  // gemm_batch_with bit for bit — also with more panels than members.
+  Rng rng(909);
+  const std::vector<Index> extents = {1, 3, 5, 8, 11, 13, 24, 129};
+  for (unsigned members = 1; members <= 4; ++members) {
+    ComputePool pool(members);
+    for (const MicroKernel& mk : microkernels_for_isa(active_kernel_isa())) {
+      int trial = 0;
+      for (const Index m : extents) {
+        for (const Index n : extents) {
+          const Index k = extents[static_cast<std::size_t>(trial++) %
+                                  extents.size()];
+          const Tile b = random_tile(k, n, rng);
+          const Tile a1 = random_tile(m, k, rng);
+          const Tile a2 = random_tile(m, k, rng);
+          const Tile a3 = random_tile(m + 2, k, rng);
+          const Tile c_init = random_tile(m, n, rng);
+          const Tile c3_init = random_tile(m + 2, n, rng);
+          for (const Index panels :
+               {static_cast<Index>(members), static_cast<Index>(7)}) {
+            Tile c = c_init, c3 = c3_init, e = c_init, e3 = c3_init;
+            // Items 0 and 1 alias one C tile; item 2 has its own.
+            gemm_batch_with(mk, 0.75,
+                            std::vector<GemmBatchItem>{
+                                {&a1, &e}, {&a2, &e}, {&a3, &e3}},
+                            b, 0.5);
+            gemm_batch_split(pool, panels, mk, 0.75,
+                             std::vector<GemmBatchItem>{
+                                 {&a1, &c}, {&a2, &c}, {&a3, &c3}},
+                             b, 0.5);
+            for (Index j = 0; j < n; ++j) {
+              for (Index i = 0; i < m; ++i) {
+                ASSERT_EQ(c.at(i, j), e.at(i, j))
+                    << mk.name << " pool=" << members << " panels="
+                    << panels << " m=" << m << " n=" << n << " k=" << k;
+              }
+              for (Index i = 0; i < m + 2; ++i) {
+                ASSERT_EQ(c3.at(i, j), e3.at(i, j))
+                    << mk.name << " pool=" << members << " panels="
+                    << panels << " m=" << m + 2 << " n=" << n;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmBatchSplit, PanelCountFollowsMembersGrainAndWidth) {
+  const MicroKernel& mk = default_microkernel();
+  Rng rng(77);
+  // Large batch: one panel per member, capped by B's NR-column panels.
+  const Tile big_a = random_tile(256, 256, rng);
+  const Tile big_b = random_tile(256, 256, rng);
+  Tile big_c(256, 256);
+  const std::vector<GemmBatchItem> big = {{&big_a, &big_c}};
+  EXPECT_EQ(gemm_batch_panels(mk, big, big_b, 4), 4);
+  EXPECT_EQ(gemm_batch_panels(mk, big, big_b, 1), 1);
+  // Enough flops for 4 units, but B has only 2 NR-column panels.
+  const Tile tall_a = random_tile(4096, 256, rng);
+  const Tile narrow_b = random_tile(256, mk.geom.nr * 2, rng);
+  Tile narrow_c(4096, mk.geom.nr * 2);
+  const std::vector<GemmBatchItem> narrow = {{&tall_a, &narrow_c}};
+  EXPECT_EQ(gemm_batch_panels(mk, narrow, narrow_b, 4), 2);
+  // Tiny batch: below the flop grain, it stays on the caller.
+  const Tile small_a = random_tile(8, 8, rng);
+  const Tile small_b = random_tile(8, 64, rng);
+  Tile small_c(8, 64);
+  const std::vector<GemmBatchItem> small = {{&small_a, &small_c}};
+  EXPECT_EQ(gemm_batch_panels(mk, small, small_b, 4), 1);
 }
 
 TEST(GemmKernels, ScalarAndActiveKernelsAgree) {

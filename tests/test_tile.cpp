@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <optional>
+#include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "support/error.hpp"
 #include "tile/gemm.hpp"
@@ -20,6 +26,63 @@ TEST(Tile, ZeroInitialised) {
   for (Index i = 0; i < 3; ++i) {
     for (Index j = 0; j < 4; ++j) EXPECT_DOUBLE_EQ(t.at(i, j), 0.0);
   }
+}
+
+TEST(Tile, MappedStorageBehavesLikeSmallStorage) {
+  // 256 x 64 doubles = 128 KiB: the smallest mapped payload.
+  const Index rows = 256, cols = 64;
+  ASSERT_EQ(static_cast<std::size_t>(rows * cols) * sizeof(double),
+            kMappedTileBytes);
+  Tile t(rows, cols);
+  for (Index j = 0; j < cols; ++j) {
+    for (Index i = 0; i < rows; ++i) EXPECT_EQ(t.at(i, j), 0.0);
+  }
+  Rng rng(3);
+  t.fill_random(rng);
+  Tile copy = t;
+  EXPECT_NE(copy.data(), t.data());
+  EXPECT_EQ(copy.max_abs_diff(t), 0.0);
+  const double* payload = t.data();
+  Tile moved = std::move(t);
+  EXPECT_EQ(moved.data(), payload);
+  copy = Tile(rows - 1, cols);  // a mapped payload replaced by another
+  EXPECT_EQ(copy.at(rows - 2, cols - 1), 0.0);
+}
+
+/// Resident set size of this process in KiB, from /proc/self/status.
+std::optional<long> rss_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtol(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(Tile, LargeTilesFreedOnAnotherThreadLeaveTheResidentSet) {
+  // Generated on one thread and freed on another, as pool-generated B
+  // tiles are: their pages must go back to the kernel. Through malloc
+  // they would not — once an 8 MiB block has been freed, glibc serves
+  // 4 MiB requests from the allocating thread's arena and keeps them
+  // resident after free.
+  if (!rss_kib()) GTEST_SKIP() << "no /proc/self/status";
+  { const Tile warm(1024, 1024); }  // 8 MiB
+  const Index rows = 512, cols = 1024;  // 4 MiB each
+  std::vector<Tile> tiles;
+  std::thread([&] {
+    for (int i = 0; i < 3; ++i) {
+      tiles.emplace_back(rows, cols);
+      tiles.back().fill(1.0);
+    }
+  }).join();
+  const long live = *rss_kib();
+  tiles.clear();
+  const long after = *rss_kib();
+  const long tiles_kib = 3 * rows * cols * 8 / 1024;
+  EXPECT_GE(live - after, tiles_kib / 2)
+      << "live " << live << " KiB, after " << after << " KiB";
 }
 
 TEST(Tile, ColumnMajorLayout) {
