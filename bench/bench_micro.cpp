@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "plan/builder.hpp"
 #include "plan/column_assignment.hpp"
 #include "runtime/compute_pool.hpp"
@@ -123,6 +126,90 @@ void BM_PoolForkJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PoolForkJoin)->DenseRange(1, 4)->UseRealTime();
+
+/// Batch shapes for BM_GemmBatchSplit. 0, 1, 2: abcd-fine's skinny
+/// shared-B group (83x52 . 52x52, 0.45 Mflop per item) with 6, 3 and 2
+/// items; 3: an abcd-coarse-like group of 3 unequal A tiles against a
+/// 324x324 B (102 Mflop).
+struct SplitBatch {
+  std::vector<Tile> a, c;
+  Tile b;
+  std::vector<GemmBatchItem> items;
+};
+
+SplitBatch make_split_batch(std::int64_t shape) {
+  Rng rng(19);
+  SplitBatch s;
+  std::vector<Index> ms;
+  Index k = 52;
+  if (shape == 3) {
+    ms = {150, 165, 181};
+    k = 324;
+  } else {
+    ms.assign(shape == 0 ? 6 : shape == 1 ? 3 : 2, 83);
+  }
+  s.b = Tile(k, k);
+  s.b.fill_random(rng);
+  for (const Index m : ms) {
+    s.a.emplace_back(m, k);
+    s.a.back().fill_random(rng);
+    s.c.emplace_back(m, k);
+  }
+  for (std::size_t q = 0; q < ms.size(); ++q) {
+    s.items.push_back({&s.a[q], &s.c[q]});
+  }
+  return s;
+}
+
+void BM_GemmBatchSplit(benchmark::State& state) {
+  // One shared-B batch run single-thread (mode 0, gemm_batch_with), split
+  // into `members` NR-aligned column panels (mode 1) or into `members`
+  // item ranges of near-equal item count (mode 2) on a pool of `members`.
+  // The split grains in tile/gemm.cpp are sized against these rates.
+  const SplitBatch s = make_split_batch(state.range(0));
+  const std::int64_t mode = state.range(1);
+  const auto members = static_cast<unsigned>(state.range(2));
+  const MicroKernel& mk = select_batch_microkernel(s.items, s.b);
+  ComputePool pool(members);
+  GemmBatchLayout layout;
+  layout.units = members;
+  if (mode == 2) {
+    layout.cut = GemmBatchLayout::Cut::kItems;
+    const std::size_t n = s.items.size();
+    const std::size_t units = std::min<std::size_t>(members, n);
+    layout.units = static_cast<Index>(units);
+    for (std::size_t u = 0; u <= units; ++u) {
+      layout.item_begin.push_back(u * n / units);
+    }
+  }
+  double flops = 0.0;
+  for (const GemmBatchItem& item : s.items) flops += gemm_flops(*item.a, s.b);
+  for (auto _ : state) {
+    if (mode == 0) {
+      gemm_batch_with(mk, 1.0, s.items, s.b, 1.0);
+    } else {
+      gemm_batch_split(pool, layout, mk, 1.0, s.items, s.b, 1.0);
+    }
+    benchmark::DoNotOptimize(s.c.front().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flop/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmBatchSplit)
+    ->ArgNames({"shape", "mode", "members"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (std::int64_t shape = 0; shape < 4; ++shape) {
+        b->Args({shape, 0, 1});
+        for (std::int64_t mode = 1; mode <= 2; ++mode) {
+          for (std::int64_t members = 1; members <= 3; ++members) {
+            b->Args({shape, mode, members});
+          }
+        }
+      }
+    })
+    ->UseRealTime();
 
 void BM_FullInspector(benchmark::State& state) {
   const ShapePair s =

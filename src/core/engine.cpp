@@ -160,8 +160,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
   }
 
   CommRecorder comm(num_nodes);
-  // Lanes lend their divisible work (gemmbatch column panels, a piece's
-  // missing B tiles) to the host's otherwise idle cores.
+  // Lanes lend their divisible work (gemmbatch column panels or item
+  // ranges, a piece's missing B tiles) to the host's otherwise idle cores.
   ComputePool& pool = ComputePool::process(ranks_on_host(cfg));
 
   // Distributed single-rank mode: build and run only local_rank's share
@@ -443,8 +443,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                   std::to_string(grp.is.size()) + ")",
               dq, [&res, &pool, grp] {
                 // A device queue runs one task at a time, so no other GEMM
-                // task touches these C tiles meanwhile; the pool's column
-                // panels of this one write disjoint columns.
+                // task touches these C tiles meanwhile; the pool's units
+                // of this one write disjoint columns or disjoint C tiles.
                 const Tile& bt = res.b.at(tile_key(grp.k, grp.j));
                 std::vector<GemmBatchItem> items;
                 items.reserve(grp.is.size());
@@ -454,9 +454,9 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                 }
                 // One autotuned kernel for the whole shared-B group.
                 const MicroKernel& mk = select_batch_microkernel(items, bt);
-                gemm_batch_split(pool,
-                                 gemm_batch_panels(mk, items, bt, pool.size()),
-                                 mk, 1.0, items, bt, 1.0);
+                gemm_batch_split(
+                    pool, plan_gemm_batch_split(mk, items, bt, pool.size()),
+                    mk, 1.0, items, bt, 1.0);
               });
           chunk_gemms[ci].push_back(g);
           // Dataflow: the batch needs the piece owning its B tile staged.

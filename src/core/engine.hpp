@@ -13,9 +13,9 @@
 ///
 /// Devices here are worker threads with enforced memory capacities rather
 /// than CUDA devices; each lane borrows the host's idle cores from the
-/// process ComputePool to split its GEMM batches by column panels and
-/// its B generation by tile (see DESIGN.md for the substitution
-/// argument). The
+/// process ComputePool to split its GEMM batches (by column panels or by
+/// item ranges) and its B generation by tile (see DESIGN.md for the
+/// substitution argument). The
 /// engine verifies, not assumes, the paper's claims: device budgets can
 /// never be exceeded (DeviceMemory throws), B tiles are generated at most
 /// once per node, and the result is exact.

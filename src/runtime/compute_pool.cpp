@@ -19,6 +19,7 @@ struct ComputePool::Job {
   std::size_t finished = 0;  ///< claimed units that have returned
   std::size_t helper_units = 0;
   std::exception_ptr error;  ///< the first failure
+  Job* next = nullptr;       ///< the next job in jobs_
 };
 
 ComputePool::ComputePool(unsigned members) {
@@ -53,8 +54,13 @@ void ComputePool::stop_helpers() {
 }
 
 void ComputePool::retire(Job& job) {
-  const auto it = std::find(jobs_.begin(), jobs_.end(), &job);
-  if (it != jobs_.end()) jobs_.erase(it);
+  for (Job** link = &jobs_; *link != nullptr; link = &(*link)->next) {
+    if (*link == &job) {
+      *link = job.next;
+      job.next = nullptr;
+      return;
+    }
+  }
 }
 
 void ComputePool::run_unit(Job& job, std::size_t u,
@@ -76,13 +82,20 @@ void ComputePool::run_unit(Job& job, std::size_t u,
   if (++job.finished == job.claimed) done_.notify_all();
 }
 
+namespace {
+thread_local bool t_on_helper = false;
+}  // namespace
+
+bool ComputePool::on_helper_thread() { return t_on_helper; }
+
 void ComputePool::helper_main() {
+  t_on_helper = true;
   std::unique_lock lock(mutex_);
   if (++parked_ == helpers_.size()) done_.notify_all();
   while (true) {
-    work_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+    work_.wait(lock, [this] { return stop_ || jobs_ != nullptr; });
     if (stop_) return;
-    Job& job = *jobs_.front();
+    Job& job = *jobs_;
     ++job.helper_units;
     run_unit(job, job.claimed++, lock);
   }
@@ -98,7 +111,9 @@ void ComputePool::parallel_for(std::size_t units,
   job.fn = &fn;
   job.units = units;
   std::unique_lock lock(mutex_);
-  jobs_.push_back(&job);
+  Job** tail = &jobs_;
+  while (*tail != nullptr) tail = &(*tail)->next;
+  *tail = &job;
   // Wake only as many helpers as there are units beyond the caller's.
   const std::size_t wake = std::min(units - 1, helpers_.size());
   for (std::size_t w = 0; w < wake; ++w) work_.notify_one();

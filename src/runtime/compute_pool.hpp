@@ -7,12 +7,12 @@
 /// The paper runs each batched GEMM across every SM of a V100; here a
 /// "device" is one scheduler lane (a thread), and the host's remaining
 /// cores would idle. A lane that holds divisible work (a gemmbatch's
-/// column panels, a B piece's missing tiles) calls parallel_for: idle
-/// helpers claim units while the caller claims units itself, so a lane
-/// never queues behind another lane's job, and units no helper picks up
-/// run on the caller. One shared pool, rather than a fixed team per
-/// device, also lets a lane that finished early lend its share of cores
-/// to the one still running.
+/// column panels or item ranges, a B piece's missing tiles) calls
+/// parallel_for: idle helpers claim units while the caller claims units
+/// itself, so a lane never queues behind another lane's job, and units no
+/// helper picks up run on the caller. One shared pool, rather than a fixed
+/// team per device, also lets a lane that finished early lend its share of
+/// cores to the one still running.
 ///
 /// Rules the implementation keeps:
 ///  * waits block on condition variables (no spinning: lanes outnumber
@@ -21,14 +21,19 @@
 ///    every claimed unit has finished, unclaimed units are skipped, and
 ///    the pool stays usable;
 ///  * the process pool is created lazily in each process: a forked child
-///    never uses its parent's pool, whose helper threads it does not have.
+///    never uses its parent's pool, whose helper threads it does not have;
+///  * the pool's own bookkeeping never calls malloc or free on a helper
+///    (jobs are linked through themselves), and GEMM units do not either
+///    (a helper's pack arena is mapped): a thread's first malloc or free
+///    ties it to a glibc arena for good, and blocks it frees stay in its
+///    own cache. Helpers that did raised abcd-fine's peak RSS from ~180
+///    to ~190 MiB in most runs.
 ///
 /// Callers keep their units few and coarse (at most one per member, none
 /// below the fork-join cost `bench_micro`'s BM_PoolForkJoin measures).
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -68,6 +73,9 @@ class ComputePool {
   /// a fresh pool on its own first use.
   static ComputePool& process(unsigned ranks_on_host);
 
+  /// Whether the calling thread is a helper of some pool.
+  static bool on_helper_thread();
+
  private:
   struct Job;
 
@@ -82,7 +90,9 @@ class ComputePool {
   std::mutex mutex_;  ///< guards jobs_, stop_ and every Job's counters
   std::condition_variable work_;  ///< a job was posted, or stop_
   std::condition_variable done_;  ///< some job's claimed units finished
-  std::deque<Job*> jobs_;         ///< jobs with unclaimed units, FIFO
+  /// Jobs with unclaimed units, FIFO, linked through Job::next. Each job
+  /// lives on its caller's stack, so queueing allocates nothing.
+  Job* jobs_ = nullptr;
   std::size_t parked_ = 0;        ///< helpers that reached their loop
   bool stop_ = false;
   std::vector<std::thread> helpers_;  ///< last: they use the members above

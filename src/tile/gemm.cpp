@@ -122,6 +122,18 @@ thread_local std::uint64_t t_batch_a_packs = 0;
 /// every extra panel adds.
 constexpr double kPanelGrainFlops = 4.0e6;
 
+/// Smallest item range worth one pool unit. A range re-packs only B, not
+/// the A blocks every column panel re-packs, so it can be finer than the
+/// panel grain, but waking a parked helper still costs several us. At
+/// abcd-fine's shape (83x52 . 52x52, 0.45 Mflop per item; bench_micro
+/// BM_GemmBatchSplit, medians of 8 interleaved runs on a 4-vCPU host) a
+/// 6-item batch took 110 us single-thread, 82 us in 2 ranges of 1.35 Mflop
+/// and 67 us in 3 of 0.9; a 2-item batch took 38 us alone and 41 us in 2
+/// ranges of 0.45 Mflop; a 3-item batch in 2 ranges (0.9 + 0.45) broke
+/// even (63 vs 62 us). Column panels gained less on the 6-item batch
+/// (97 / 91 us with 2 / 3 panels).
+constexpr double kItemGrainFlops = 1.0e6;
+
 }  // namespace
 
 void gemm_naive(double alpha, const Tile& a, const Tile& b, double beta,
@@ -263,15 +275,15 @@ Index check_batch(std::span<const GemmBatchItem> items, const Tile& b) {
 void batch_columns(const MicroKernel& mk, double alpha,
                    std::span<const GemmBatchItem> items, const Tile& b,
                    double beta, Index max_m, Index j0, Index j1) {
-  // beta exactly once per distinct C tile: items may alias outputs.
-  std::vector<double*> scaled;
-  scaled.reserve(items.size());
-  for (const GemmBatchItem& item : items) {
-    double* p = item.c->data();
-    if (std::find(scaled.begin(), scaled.end(), p) == scaled.end()) {
-      scaled.push_back(p);
-      scale_view(item.c->rows(), j1 - j0, beta, p + j0 * item.c->ld(),
-                 item.c->ld());
+  // beta exactly once per distinct C tile: items may alias outputs, so
+  // an item scales its C only when no earlier item wrote it.
+  for (auto it = items.begin(); beta != 1.0 && it != items.end(); ++it) {
+    Tile* c = it->c;
+    if (std::none_of(items.begin(), it, [c](const GemmBatchItem& prev) {
+          return prev.c->data() == c->data();
+        })) {
+      scale_view(c->rows(), j1 - j0, beta, c->data() + j0 * c->ld(),
+                 c->ld());
     }
   }
   const Index k = b.rows(), n = j1 - j0;
@@ -323,6 +335,30 @@ void batch_columns(const MicroKernel& mk, double alpha,
   }
 }
 
+/// Flops of one item (0 for an incomplete one; check_batch rejects it).
+double item_flops(const GemmBatchItem& item, const Tile& b) {
+  return item.a != nullptr ? gemm_flops(*item.a, b) : 0.0;
+}
+
+/// Calls visit(p) for the positions p in (0, items.size()), ascending,
+/// where the items may be cut into ranges — no C tile is written both by
+/// an item before p and by one at or after p — until visit returns false.
+template <class Visit>
+void for_each_legal_cut(std::span<const GemmBatchItem> items, Visit visit) {
+  const std::size_t n = items.size();
+  // Furthest item sharing a C tile with any item before the cut.
+  std::size_t reach = 0;
+  for (std::size_t p = 0; p + 1 < n; ++p) {
+    for (std::size_t q = n - 1; q > std::max(reach, p); --q) {
+      if (items[q].c == items[p].c) {
+        reach = q;
+        break;
+      }
+    }
+    if (reach <= p && !visit(p + 1)) return;
+  }
+}
+
 }  // namespace
 
 void gemm_batch_with(const MicroKernel& mk, double alpha,
@@ -332,28 +368,90 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
   batch_columns(mk, alpha, items, b, beta, max_m, 0, b.cols());
 }
 
-Index gemm_batch_panels(const MicroKernel& mk,
-                        std::span<const GemmBatchItem> items, const Tile& b,
-                        unsigned members) {
+GemmBatchLayout plan_gemm_batch_split(const MicroKernel& mk,
+                                      std::span<const GemmBatchItem> items,
+                                      const Tile& b, unsigned members) {
   double flops = 0.0;
+  Index sum_m = 0;
   for (const GemmBatchItem& item : items) {
-    if (item.a != nullptr) flops += gemm_flops(*item.a, b);
+    flops += item_flops(item, b);
+    if (item.a != nullptr) sum_m += item.a->rows();
   }
+  GemmBatchLayout layout;
   const Index nr_panels = (b.cols() + mk.geom.nr - 1) / mk.geom.nr;
-  const auto by_grain = static_cast<Index>(flops / kPanelGrainFlops);
-  return std::max<Index>(
-      1, std::min({static_cast<Index>(members), nr_panels, by_grain}));
+  const Index panels =
+      std::min({static_cast<Index>(members), nr_panels,
+                static_cast<Index>(flops / kPanelGrainFlops)});
+  if (panels >= 2) {
+    layout.units = panels;
+    return layout;
+  }
+  const auto ranges = std::min<std::size_t>(
+      {members, items.size(),
+       static_cast<std::size_t>(flops / kItemGrainFlops)});
+  if (ranges < 2 || sum_m <= b.cols()) return layout;
+
+  // Cut where the cumulative flops first reach the next unit's share,
+  // at legal cuts only, and keep every range above the grain.
+  std::vector<std::size_t> begin = {0};
+  double prefix = 0.0, range_start = 0.0;
+  std::size_t pos = 0;
+  for_each_legal_cut(items, [&](std::size_t cut) {
+    for (; pos < cut; ++pos) prefix += item_flops(items[pos], b);
+    const double share =
+        flops * static_cast<double>(begin.size()) / static_cast<double>(ranges);
+    if (prefix >= share && prefix - range_start >= kItemGrainFlops &&
+        flops - prefix >= kItemGrainFlops) {
+      begin.push_back(cut);
+      range_start = prefix;
+    }
+    return begin.size() < ranges;
+  });
+  if (begin.size() < 2) return layout;
+  begin.push_back(items.size());
+  layout.cut = GemmBatchLayout::Cut::kItems;
+  layout.units = static_cast<Index>(begin.size() - 1);
+  layout.item_begin = std::move(begin);
+  return layout;
 }
 
-void gemm_batch_split(ComputePool& pool, Index panels, const MicroKernel& mk,
-                      double alpha, std::span<const GemmBatchItem> items,
-                      const Tile& b, double beta) {
+void gemm_batch_split(ComputePool& pool, const GemmBatchLayout& layout,
+                      const MicroKernel& mk, double alpha,
+                      std::span<const GemmBatchItem> items, const Tile& b,
+                      double beta) {
   const Index max_m = check_batch(items, b);
-  const Index n = b.cols(), nr = mk.geom.nr;
-  // Units take an equal share of whole NR-column panels, so every cut
-  // falls on a multiple of NR and no unit is empty.
+  const Index n = b.cols();
+  if (layout.units <= 1) {
+    batch_columns(mk, alpha, items, b, beta, max_m, 0, n);
+    return;
+  }
+  if (layout.cut == GemmBatchLayout::Cut::kItems) {
+    const std::vector<std::size_t>& begin = layout.item_begin;
+    BSTC_REQUIRE(begin.size() == static_cast<std::size_t>(layout.units) + 1 &&
+                     begin.front() == 0 && begin.back() == items.size(),
+                 "item ranges must cover the batch");
+    // The inner bounds, matched in order against the ascending legal
+    // cuts: all match only if the ranges are non-empty and split no
+    // aliased output.
+    std::size_t matched = 1;
+    for_each_legal_cut(items, [&](std::size_t cut) {
+      if (begin[matched] == cut) ++matched;
+      return matched + 1 < begin.size();
+    });
+    BSTC_REQUIRE(matched + 1 == begin.size(),
+                 "item ranges must be non-empty and keep aliased outputs "
+                 "together");
+    pool.parallel_for(begin.size() - 1, [&](std::size_t u) {
+      batch_columns(mk, alpha, items.subspan(begin[u], begin[u + 1] - begin[u]),
+                    b, beta, max_m, 0, n);
+    });
+    return;
+  }
+  // Column panels take an equal share of whole NR-column panels, so every
+  // cut falls on a multiple of NR and no unit is empty.
+  const Index nr = mk.geom.nr;
   const Index nr_panels = std::max<Index>(1, (n + nr - 1) / nr);
-  const Index wanted = std::clamp<Index>(panels, 1, nr_panels);
+  const Index wanted = std::min(layout.units, nr_panels);
   const Index per_unit = (nr_panels + wanted - 1) / wanted;
   const Index units = (nr_panels + per_unit - 1) / per_unit;
   if (units == 1) {

@@ -27,11 +27,15 @@
 /// The *_with variants run a caller-chosen zoo kernel (engines select
 /// once per batch; benches and tests pin geometries explicitly).
 ///
-/// gemm_batch_split() spreads one batch over a ComputePool by column
-/// panels; gemm_batch_with() itself stays single-threaded — it is both the
-/// body of each panel and the single-thread ceiling the benchmarks quote.
+/// gemm_batch_split() spreads one batch over a ComputePool in the units
+/// plan_gemm_batch_split() lays out — NR-aligned column panels of B and C
+/// for wide batches, contiguous ranges of whole items for skinny ones;
+/// gemm_batch_with() itself stays single-threaded — it is both the body of
+/// each unit and the single-thread ceiling the benchmarks quote.
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "tile/microkernel.hpp"
 #include "tile/tile.hpp"
@@ -85,23 +89,53 @@ void gemm_batch_with(const MicroKernel& mk, double alpha,
                      std::span<const GemmBatchItem> items, const Tile& b,
                      double beta);
 
-/// How many column panels gemm_batch_split should cut this batch into on
-/// a pool of `members` threads: at most one per member, no more than B
-/// has NR-column panels, and none carrying fewer flops than a fixed grain
-/// (the fork-join cost, see gemm.cpp). 1 means "run it on the caller".
-Index gemm_batch_panels(const MicroKernel& mk,
-                        std::span<const GemmBatchItem> items, const Tile& b,
-                        unsigned members);
+/// How gemm_batch_split cuts one batch into pool units. Every unit runs
+/// the single-thread gemm_batch_with loop with the batch's one kernel on
+/// its share, so C is bitwise-identical for every layout and pool size.
+struct GemmBatchLayout {
+  enum class Cut {
+    /// B and every C tile are cut into `units` column panels at multiples
+    /// of the kernel's NR (all items in each panel, in item order).
+    kColumns,
+    /// The items are cut into `units` contiguous ranges, each over the
+    /// full width of B; unit u runs items [item_begin[u], item_begin[u+1]).
+    /// No C tile is written by two ranges.
+    kItems,
+  };
+  Cut cut = Cut::kColumns;
+  Index units = 1;  ///< 1: the whole batch runs on the caller
+  std::vector<std::size_t> item_begin;  ///< kItems only: units + 1 bounds
+};
 
-/// gemm_batch_with split into `panels` column panels of B and C, cut at
-/// multiples of the kernel's NR and run on `pool` (the caller takes part).
-/// Each panel runs the same single-thread loop over its columns, so every
-/// C element keeps its one k-ordered FMA chain and the result is
-/// bitwise-identical to gemm_batch_with for any panel count and pool size;
-/// aliased outputs keep their item order within each panel.
-void gemm_batch_split(ComputePool& pool, Index panels, const MicroKernel& mk,
-                      double alpha, std::span<const GemmBatchItem> items,
-                      const Tile& b, double beta);
+/// The layout gemm_batch_split should use for this batch on a pool of
+/// `members` threads, at most one unit per member:
+///  * column panels when at least two of them clear the panel grain
+///    (4 Mflop each, no more than B has NR-column panels) — each panel
+///    re-packs every A block, so this suits wide B;
+///  * otherwise item ranges when there are 2+ items and their A rows sum
+///    past B's width (re-packing B per range is then the cheaper side):
+///    cut by cumulative flops at cuts that split no aliased C tile, none
+///    below the item grain (1 Mflop);
+///  * otherwise one unit.
+/// The grains are sized against bench_micro (see gemm.cpp).
+GemmBatchLayout plan_gemm_batch_split(const MicroKernel& mk,
+                                      std::span<const GemmBatchItem> items,
+                                      const Tile& b, unsigned members);
+
+/// gemm_batch_with run in `layout`'s units on `pool` (the caller takes
+/// part). Column panels: every micro-kernel call sees the same NR-column
+/// panel, KC block and MC block as in the whole-width call, and aliased
+/// outputs keep their item order within each panel. Item ranges: each
+/// item's product is computed exactly as in the whole batch, and an
+/// aliased C tile lies within one range, so it receives beta once and its
+/// items in order. Either way every C element keeps its one k-ordered FMA
+/// chain and the result is bitwise-identical to gemm_batch_with. Throws
+/// if item ranges do not cover the batch, are empty or split an aliased
+/// output.
+void gemm_batch_split(ComputePool& pool, const GemmBatchLayout& layout,
+                      const MicroKernel& mk, double alpha,
+                      std::span<const GemmBatchItem> items, const Tile& b,
+                      double beta);
 
 /// The autotuner's choice for a shared-B batch: one kernel for the whole
 /// group (the B panel is packed once, so the geometry must be uniform),

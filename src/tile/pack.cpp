@@ -1,32 +1,78 @@
 #include "tile/pack.hpp"
 
+#include <pthread.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdlib>
+#include <new>
 
+#include "runtime/compute_pool.hpp"
 #include "support/error.hpp"
 
 namespace bstc {
 
-void PackArena::FreeDeleter::operator()(double* p) const { std::free(p); }
+PackArena::~PackArena() { release(); }
+
+void PackArena::release() noexcept {
+  if (buffer_ == nullptr) return;
+  if (mapped_) {
+    ::munmap(buffer_, capacity_bytes_);
+  } else {
+    std::free(buffer_);
+  }
+}
 
 double* PackArena::acquire(std::size_t doubles) {
   std::size_t bytes = doubles * sizeof(double);
   if (bytes > capacity_bytes_) {
     // Grow geometrically and round to the 64-byte alignment quantum
-    // (std::aligned_alloc requires size % alignment == 0).
+    // (std::aligned_alloc requires size % alignment == 0; mappings are
+    // page-aligned).
     bytes = std::max(bytes, capacity_bytes_ * 2);
     bytes = (bytes + 63) & ~std::size_t{63};
-    double* p = static_cast<double*>(std::aligned_alloc(64, bytes));
+    void* p = nullptr;
+    if (mapped_) {
+      p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) p = nullptr;
+    } else {
+      p = std::aligned_alloc(64, bytes);
+    }
     BSTC_REQUIRE(p != nullptr, "pack arena allocation failed");
-    buffer_.reset(p);
+    release();
+    buffer_ = static_cast<double*>(p);
     capacity_bytes_ = bytes;
   }
-  return buffer_.get();
+  return buffer_;
 }
 
+namespace {
+
+/// Releases a thread's pack arena when the thread exits.
+pthread_key_t pack_arena_key() {
+  static const pthread_key_t key = [] {
+    pthread_key_t k;
+    const int rc = pthread_key_create(
+        &k, [](void* arena) { static_cast<PackArena*>(arena)->~PackArena(); });
+    BSTC_REQUIRE(rc == 0, "pack arena key creation failed");
+    return k;
+  }();
+  return key;
+}
+
+}  // namespace
+
 PackArena& pack_arena() {
-  thread_local PackArena arena;
-  return arena;
+  // Trivially destructible thread-local storage plus a pthread key, not a
+  // thread_local PackArena, whose destructor registration mallocs.
+  alignas(PackArena) thread_local unsigned char storage[sizeof(PackArena)];
+  thread_local PackArena* arena = nullptr;
+  if (arena == nullptr) {
+    arena = new (storage) PackArena(ComputePool::on_helper_thread());
+    pthread_setspecific(pack_arena_key(), arena);
+  }
+  return *arena;
 }
 
 void pack_a(Index mc, Index kc, const double* a, Index lda, double* dst,

@@ -24,7 +24,6 @@
 /// autotuner picked (asserted in test_gemm_kernels.cpp).
 
 #include <cstddef>
-#include <memory>
 
 #include "tiling/tiling.hpp"
 
@@ -71,23 +70,34 @@ constexpr std::size_t packed_b_doubles(Index kc, Index nc,
 
 /// Grow-only, 64-byte-aligned scratch buffer for packed panels. Acquire
 /// returns uninitialised storage valid until the next acquire that grows
-/// the arena; capacity never shrinks.
+/// the arena; capacity never shrinks. A `mapped` arena takes its buffer
+/// from anonymous mappings instead of malloc.
 class PackArena {
  public:
+  explicit PackArena(bool mapped = false) : mapped_(mapped) {}
+  ~PackArena();
+  PackArena(const PackArena&) = delete;
+  PackArena& operator=(const PackArena&) = delete;
+
   double* acquire(std::size_t doubles);
   std::size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
-  struct FreeDeleter {
-    void operator()(double* p) const;
-  };
-  std::unique_ptr<double, FreeDeleter> buffer_;
+  void release() noexcept;
+
+  double* buffer_ = nullptr;
   std::size_t capacity_bytes_ = 0;
+  bool mapped_ = false;
 };
 
 /// The calling thread's pack arena. Each worker thread owns one arena that
 /// grows to the largest panel set it has ever packed and is reused for
-/// every subsequent tile GEMM on that thread.
+/// every subsequent tile GEMM on that thread. A compute-pool helper's
+/// arena is mapped, and no thread's arena registers a thread-exit
+/// destructor (which would malloc): helpers must not touch malloc (see
+/// ComputePool). Other threads keep malloc'ed buffers, which reuse freed
+/// heap instead of faulting fresh pages in each time a per-op scheduler
+/// thread starts (mapping them too cost serve-mix ~1 MiB of peak RSS).
 PackArena& pack_arena();
 
 /// Pack an mc x kc block of column-major A (leading dimension lda) into

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -20,6 +21,7 @@
 #include "plan/builder.hpp"
 #include "plan/serialize.hpp"
 #include "runtime/compute_pool.hpp"
+#include "service/contraction_service.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/error.hpp"
 
@@ -388,6 +390,34 @@ TEST(Engine, PoolSplitsBatchesAndGenerationExactly) {
   }
 }
 
+/// Runs `body` in a forked child pinned to one CPU (so its process pool
+/// has no helpers) and returns the child's exit code: body's result, 16
+/// when it threw, or 10/11 when pinning failed.
+int exit_code_on_one_cpu(const std::function<int()>& body) {
+  const pid_t pid = fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    int rc = 0;
+    try {
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      if (sched_getaffinity(0, sizeof(set), &set) != 0) _exit(10);
+      int first = 0;
+      while (!CPU_ISSET(first, &set)) ++first;
+      CPU_ZERO(&set);
+      CPU_SET(first, &set);
+      if (sched_setaffinity(0, sizeof(set), &set) != 0) _exit(11);
+      rc = body();
+    } catch (...) {
+      rc = 16;
+    }
+    _exit(rc);
+  }
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
 TEST(EnginePoolFork, OneCpuChildMatchesFullPoolBitwise) {
   // C must not depend on the pool size: a child pinned to one CPU (its
   // process pool has no helpers) reproduces the parent's full-pool C bit
@@ -401,41 +431,103 @@ TEST(EnginePoolFork, OneCpuChildMatchesFullPoolBitwise) {
   ASSERT_GT(ComputePool::process(1).size(), 1u);
   ASSERT_GT(counter("bstc_pool_fanouts_total"), fanouts);
 
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    int rc = 0;
-    try {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      if (sched_getaffinity(0, sizeof(set), &set) != 0) _exit(10);
-      int first = 0;
-      while (!CPU_ISSET(first, &set)) ++first;
-      CPU_ZERO(&set);
-      CPU_SET(first, &set);
-      if (sched_setaffinity(0, sizeof(set), &set) != 0) _exit(11);
-      const EngineResult one = contract(h.a, h.b_shape, h.b_gen, h.c_shape,
-                                        nullptr, machine, EngineConfig{});
-      if (ComputePool::process(1).size() != 1) rc = 12;
-      else if (bitwise_mismatches(one.c, full.c, h.c_shape) != 0) rc = 13;
-      else if (one.b_max_generations > 1) rc = 14;
-      for (const std::size_t peak : one.device_peak_bytes) {
-        if (peak > static_cast<std::size_t>(machine.node.gpu.memory_bytes)) {
-          rc = 15;
-        }
+  const int rc = exit_code_on_one_cpu([&] {
+    const EngineResult one = contract(h.a, h.b_shape, h.b_gen, h.c_shape,
+                                      nullptr, machine, EngineConfig{});
+    if (ComputePool::process(1).size() != 1) return 12;
+    if (bitwise_mismatches(one.c, full.c, h.c_shape) != 0) return 13;
+    if (one.b_max_generations > 1) return 14;
+    for (const std::size_t peak : one.device_peak_bytes) {
+      if (peak > static_cast<std::size_t>(machine.node.gpu.memory_bytes)) {
+        return 15;
       }
-    } catch (...) {
-      rc = 16;
     }
-    _exit(rc);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0)
+    return 0;
+  });
+  EXPECT_EQ(rc, 0)
       << "12: child pool has helpers, 13: C differs bitwise, 14: B "
          "regenerated, 15: device budget exceeded, 16: exception";
   EXPECT_LE(full.b_max_generations, 1u);
+}
+
+/// A fine tiling (tiles of 48-64) whose gemmbatches hold several small A
+/// tiles: each batch is a few Mflop, below the column-panel grain but
+/// above two item grains. B tiles average ~3k elements, below the
+/// generation fan-out grain, so every pool fan-out here is an item split.
+EngineHarness fine_tiled_problem() {
+  return EngineHarness(512, 384, 384, 1.0, 0.6, 73, 48, 64);
+}
+
+SessionConfig fine_tiled_session(const EngineHarness& h) {
+  SessionConfig cfg;
+  cfg.a_shape = h.a.shape();
+  cfg.b_shape = h.b_shape;
+  cfg.c_shape = h.c_shape;
+  cfg.b_generator = h.b_gen;
+  cfg.machine = MachineModel::summit_gpus(2);
+  cfg.machine.node.gpu.memory_bytes = 4.0e6;
+  return cfg;
+}
+
+/// Two session iterations (the second on a cached B) of `h` with a fresh
+/// A; returns the second one's C.
+BlockSparseMatrix iterate_fine_session(const EngineHarness& h,
+                                       const BlockSparseMatrix& a_iter) {
+  ContractionService service;
+  std::uint64_t id = 0;
+  BSTC_REQUIRE(service.open_session(fine_tiled_session(h), id) ==
+                   ServiceStatus::kOk,
+               "open_session failed");
+  ContractionResponse resp;
+  for (const BlockSparseMatrix* a : {&h.a, &a_iter}) {
+    BSTC_REQUIRE(service.iterate(id, *a, nullptr, resp) == ServiceStatus::kOk,
+                 "iterate failed: " + resp.error);
+  }
+  return std::move(resp.c);
+}
+
+TEST(Engine, FineTilingSessionSplitsBatchesByItems) {
+  // At a fine tiling the lanes hand item ranges of their gemmbatches to
+  // the pool, and the session's C stays exact.
+  const EngineHarness h = fine_tiled_problem();
+  Rng rng(5);
+  const BlockSparseMatrix a_iter = BlockSparseMatrix::random(h.a.shape(), rng);
+  BlockSparseMatrix b(h.b_shape);
+  for (std::size_t r = 0; r < h.b_shape.tile_rows(); ++r) {
+    for (std::size_t c = 0; c < h.b_shape.tile_cols(); ++c) {
+      if (h.b_shape.nonzero(r, c)) b.tile(r, c) = h.b_gen(r, c);
+    }
+  }
+  BlockSparseMatrix expected(h.c_shape);
+  multiply_reference(a_iter, b, expected);
+  const std::uint64_t fanouts = counter("bstc_pool_fanouts_total");
+  const BlockSparseMatrix c = iterate_fine_session(h, a_iter);
+  EXPECT_LT(c.max_abs_diff(expected), 1e-10);
+  if (ComputePool::process(1).size() > 1) {
+    EXPECT_GT(counter("bstc_pool_fanouts_total"), fanouts);
+  }
+}
+
+TEST(EnginePoolFork, FineTilingSessionOneCpuChildMatchesBitwise) {
+  // The item split is as invisible in C as the column split: a session
+  // iteration at a fine tiling in a one-CPU child equals the full pool's.
+  if (process_pool_members(1) < 2) GTEST_SKIP() << "needs 3+ CPUs";
+  const EngineHarness h = fine_tiled_problem();
+  Rng rng(5);
+  const BlockSparseMatrix a_iter = BlockSparseMatrix::random(h.a.shape(), rng);
+  const std::uint64_t fanouts = counter("bstc_pool_fanouts_total");
+  // The service (and its worker threads) is gone before the fork.
+  const BlockSparseMatrix full = iterate_fine_session(h, a_iter);
+  ASSERT_GT(ComputePool::process(1).size(), 1u);
+  ASSERT_GT(counter("bstc_pool_fanouts_total"), fanouts);
+
+  const int rc = exit_code_on_one_cpu([&] {
+    const BlockSparseMatrix one = iterate_fine_session(h, a_iter);
+    if (ComputePool::process(1).size() != 1) return 12;
+    return bitwise_mismatches(one, full, h.c_shape) != 0 ? 13 : 0;
+  });
+  EXPECT_EQ(rc, 0) << "12: child pool has helpers, 13: C differs bitwise, "
+                      "16: exception";
 }
 
 /// Parameterized sweep over problem densities and grid shapes.

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -193,16 +199,19 @@ TEST(GemmKernels, PackZeroPadsPanels) {
 }
 
 TEST(GemmKernels, ArenaGrowsAndAligns) {
-  PackArena arena;
-  double* p = arena.acquire(16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
-  const std::size_t cap = arena.capacity_bytes();
-  EXPECT_GE(cap, 16 * sizeof(double));
-  arena.acquire(8);  // smaller: capacity must not shrink
-  EXPECT_EQ(arena.capacity_bytes(), cap);
-  double* q = arena.acquire(1 << 16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
-  EXPECT_GE(arena.capacity_bytes(), (std::size_t{1} << 16) * sizeof(double));
+  for (const bool mapped : {false, true}) {
+    PackArena arena(mapped);
+    double* p = arena.acquire(16);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+    const std::size_t cap = arena.capacity_bytes();
+    EXPECT_GE(cap, 16 * sizeof(double));
+    arena.acquire(8);  // smaller: capacity must not shrink
+    EXPECT_EQ(arena.capacity_bytes(), cap);
+    double* q = arena.acquire(1 << 16);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
+    EXPECT_GE(arena.capacity_bytes(), (std::size_t{1} << 16) * sizeof(double));
+    q[(1 << 16) - 1] = 1.0;  // the whole capacity is writable
+  }
 }
 
 TEST(GemmKernels, DispatchReportsAKernel) {
@@ -408,13 +417,40 @@ TEST(GemmKernels, BatchSkipsRedundantAPacksBitwiseEqual) {
   }
 }
 
+/// A column-panel layout of `units` panels.
+GemmBatchLayout column_layout(Index units) {
+  GemmBatchLayout layout;
+  layout.units = units;
+  return layout;
+}
+
+/// An item-range layout with the given range bounds (0, ..., items).
+GemmBatchLayout item_layout(std::vector<std::size_t> begin) {
+  GemmBatchLayout layout;
+  layout.cut = GemmBatchLayout::Cut::kItems;
+  layout.units = static_cast<Index>(begin.size() - 1);
+  layout.item_begin = std::move(begin);
+  return layout;
+}
+
 TEST(GemmBatchSplit, BitwiseEqualsSingleThreadAcrossPoolSizes) {
-  // The column-panel split must be invisible in C: for pool sizes 1-4,
-  // every kernel of the active ISA and every fringe-lattice shape, the
-  // split batch (aliased outputs included, beta applied once) equals
-  // gemm_batch_with bit for bit — also with more panels than members.
+  // The split must be invisible in C: for pool sizes 1-4, every kernel of
+  // the active ISA and every fringe-lattice shape, the split batch equals
+  // gemm_batch_with bit for bit — column panels (also more panels than
+  // members) and every legal item-range layout (also more ranges than
+  // members). Two items alias one C tile, adjacent in one item order and
+  // apart in the other; beta must reach that tile once, and no range cut
+  // may separate the two.
   Rng rng(909);
   const std::vector<Index> extents = {1, 3, 5, 8, 11, 13, 24, 129};
+  struct Order {
+    std::vector<int> outputs;  ///< item -> C slot (slot 0 is aliased)
+    std::vector<std::vector<std::size_t>> ranges;  ///< legal item layouts
+  };
+  const std::vector<Order> orders = {
+      {{0, 0, 1, 2}, {{0, 2, 4}, {0, 3, 4}, {0, 2, 3, 4}}},
+      {{0, 1, 0, 2}, {{0, 3, 4}}},
+  };
   for (unsigned members = 1; members <= 4; ++members) {
     ComputePool pool(members);
     for (const MicroKernel& mk : microkernels_for_isa(active_kernel_isa())) {
@@ -424,33 +460,44 @@ TEST(GemmBatchSplit, BitwiseEqualsSingleThreadAcrossPoolSizes) {
           const Index k = extents[static_cast<std::size_t>(trial++) %
                                   extents.size()];
           const Tile b = random_tile(k, n, rng);
-          const Tile a1 = random_tile(m, k, rng);
-          const Tile a2 = random_tile(m, k, rng);
-          const Tile a3 = random_tile(m + 2, k, rng);
-          const Tile c_init = random_tile(m, n, rng);
-          const Tile c3_init = random_tile(m + 2, n, rng);
-          for (const Index panels :
-               {static_cast<Index>(members), static_cast<Index>(7)}) {
-            Tile c = c_init, c3 = c3_init, e = c_init, e3 = c3_init;
-            // Items 0 and 1 alias one C tile; item 2 has its own.
-            gemm_batch_with(mk, 0.75,
-                            std::vector<GemmBatchItem>{
-                                {&a1, &e}, {&a2, &e}, {&a3, &e3}},
-                            b, 0.5);
-            gemm_batch_split(pool, panels, mk, 0.75,
-                             std::vector<GemmBatchItem>{
-                                 {&a1, &c}, {&a2, &c}, {&a3, &c3}},
-                             b, 0.5);
-            for (Index j = 0; j < n; ++j) {
-              for (Index i = 0; i < m; ++i) {
-                ASSERT_EQ(c.at(i, j), e.at(i, j))
-                    << mk.name << " pool=" << members << " panels="
-                    << panels << " m=" << m << " n=" << n << " k=" << k;
+          for (const Order& order : orders) {
+            // C slot s has m + s rows; each item's A matches its slot.
+            std::vector<Tile> c_init, a;
+            for (Index slot = 0; slot < 3; ++slot) {
+              c_init.push_back(random_tile(m + slot, n, rng));
+            }
+            for (const int slot : order.outputs) {
+              a.push_back(random_tile(m + slot, k, rng));
+            }
+            const auto items_into = [&](std::vector<Tile>& c) {
+              std::vector<GemmBatchItem> items;
+              for (std::size_t q = 0; q < 4; ++q) {
+                items.push_back(
+                    {&a[q], &c[static_cast<std::size_t>(order.outputs[q])]});
               }
-              for (Index i = 0; i < m + 2; ++i) {
-                ASSERT_EQ(c3.at(i, j), e3.at(i, j))
-                    << mk.name << " pool=" << members << " panels="
-                    << panels << " m=" << m + 2 << " n=" << n;
+              return items;
+            };
+            std::vector<Tile> expected = c_init;
+            gemm_batch_with(mk, 0.75, items_into(expected), b, 0.5);
+
+            std::vector<GemmBatchLayout> layouts = {
+                column_layout(members), column_layout(7)};
+            for (const std::vector<std::size_t>& r : order.ranges) {
+              layouts.push_back(item_layout(r));
+            }
+            for (const GemmBatchLayout& layout : layouts) {
+              std::vector<Tile> c = c_init;
+              gemm_batch_split(pool, layout, mk, 0.75, items_into(c), b, 0.5);
+              for (std::size_t slot = 0; slot < c.size(); ++slot) {
+                ASSERT_EQ(std::memcmp(c[slot].data(), expected[slot].data(),
+                                      c[slot].bytes()),
+                          0)
+                    << mk.name << " pool=" << members << " cut="
+                    << (layout.cut == GemmBatchLayout::Cut::kItems
+                            ? "items"
+                            : "columns")
+                    << " units=" << layout.units << " slot=" << slot
+                    << " m=" << m << " n=" << n << " k=" << k;
               }
             }
           }
@@ -460,28 +507,153 @@ TEST(GemmBatchSplit, BitwiseEqualsSingleThreadAcrossPoolSizes) {
   }
 }
 
-TEST(GemmBatchSplit, PanelCountFollowsMembersGrainAndWidth) {
+TEST(GemmBatchSplit, PlannerPicksColumnPanelsItemRangesOrOneUnit) {
   const MicroKernel& mk = default_microkernel();
+  const Index nr = mk.geom.nr;
   Rng rng(77);
-  // Large batch: one panel per member, capped by B's NR-column panels.
-  const Tile big_a = random_tile(256, 256, rng);
-  const Tile big_b = random_tile(256, 256, rng);
-  Tile big_c(256, 256);
-  const std::vector<GemmBatchItem> big = {{&big_a, &big_c}};
-  EXPECT_EQ(gemm_batch_panels(mk, big, big_b, 4), 4);
-  EXPECT_EQ(gemm_batch_panels(mk, big, big_b, 1), 1);
-  // Enough flops for 4 units, but B has only 2 NR-column panels.
-  const Tile tall_a = random_tile(4096, 256, rng);
-  const Tile narrow_b = random_tile(256, mk.geom.nr * 2, rng);
-  Tile narrow_c(4096, mk.geom.nr * 2);
-  const std::vector<GemmBatchItem> narrow = {{&tall_a, &narrow_c}};
-  EXPECT_EQ(gemm_batch_panels(mk, narrow, narrow_b, 4), 2);
-  // Tiny batch: below the flop grain, it stays on the caller.
-  const Tile small_a = random_tile(8, 8, rng);
-  const Tile small_b = random_tile(8, 64, rng);
-  Tile small_c(8, 64);
-  const std::vector<GemmBatchItem> small = {{&small_a, &small_c}};
-  EXPECT_EQ(gemm_batch_panels(mk, small, small_b, 4), 1);
+  const auto kind = [](const GemmBatchLayout& layout) {
+    return layout.units == 1 ? "one"
+           : layout.cut == GemmBatchLayout::Cut::kItems ? "items"
+                                                        : "columns";
+  };
+
+  // abcd-coarse-like: 3 items of unequal m against a 324x324 B. Column
+  // panels, as many as min(members, NR panels, flops / 4 Mflop).
+  {
+    const Tile b = random_tile(324, 324, rng);
+    std::vector<Tile> a, c;
+    double flops = 0.0;
+    for (const Index m : {150, 165, 181}) {
+      a.push_back(random_tile(m, 324, rng));
+      c.emplace_back(m, 324);
+      flops += gemm_flops(a.back(), b);
+    }
+    std::vector<GemmBatchItem> items;
+    for (std::size_t q = 0; q < a.size(); ++q) items.push_back({&a[q], &c[q]});
+    for (unsigned members = 1; members <= 4; ++members) {
+      const GemmBatchLayout layout = plan_gemm_batch_split(mk, items, b, members);
+      const Index panels = std::min({static_cast<Index>(members),
+                                     (Index{324} + nr - 1) / nr,
+                                     static_cast<Index>(flops / 4.0e6)});
+      EXPECT_EQ(layout.cut, GemmBatchLayout::Cut::kColumns) << members;
+      EXPECT_EQ(layout.units, panels) << members;
+    }
+  }
+  // Enough flops for 4 panels, but B has only 2 NR-column panels.
+  {
+    const Tile tall_a = random_tile(4096, 256, rng);
+    const Tile narrow_b = random_tile(256, nr * 2, rng);
+    Tile narrow_c(4096, nr * 2);
+    const std::vector<GemmBatchItem> narrow = {{&tall_a, &narrow_c}};
+    const GemmBatchLayout layout = plan_gemm_batch_split(mk, narrow, narrow_b, 4);
+    EXPECT_STREQ(kind(layout), "columns");
+    EXPECT_EQ(layout.units, 2);
+  }
+
+  // abcd-fine-like: 6 x (83x52 . 52x52), ~2.7 Mflop, below the panel
+  // grain. On 3 members it takes 2-3 item ranges of equal flops.
+  const Tile b = random_tile(52, 52, rng);
+  std::vector<Tile> a, c;
+  for (int q = 0; q < 8; ++q) {
+    a.push_back(random_tile(83, 52, rng));
+    c.emplace_back(83, 52);
+  }
+  std::vector<GemmBatchItem> fine;
+  for (std::size_t q = 0; q < 6; ++q) fine.push_back({&a[q], &c[q]});
+  {
+    const GemmBatchLayout layout = plan_gemm_batch_split(mk, fine, b, 3);
+    ASSERT_STREQ(kind(layout), "items");
+    ASSERT_GE(layout.units, 2);
+    ASSERT_LE(layout.units, 3);
+    ASSERT_EQ(layout.item_begin.size(), static_cast<std::size_t>(layout.units) + 1);
+    const std::size_t per_range = 6 / static_cast<std::size_t>(layout.units);
+    for (std::size_t u = 0; u < layout.item_begin.size(); ++u) {
+      EXPECT_EQ(layout.item_begin[u], u * per_range);
+    }
+    EXPECT_STREQ(kind(plan_gemm_batch_split(mk, fine, b, 1)), "one");
+  }
+  // Below the item grain: two of the same items.
+  EXPECT_STREQ(kind(plan_gemm_batch_split(
+                   mk, std::span<const GemmBatchItem>(fine).first(2), b, 3)),
+               "one");
+  // All aliased: no legal cut, so one unit.
+  {
+    std::vector<GemmBatchItem> aliased;
+    for (const Tile& t : a) aliased.push_back({&t, &c[0]});
+    EXPECT_STREQ(kind(plan_gemm_batch_split(mk, aliased, b, 3)), "one");
+    // Pairwise aliased (8 items, ~3.6 Mflop): cuts only between pairs.
+    for (std::size_t q = 0; q < 8; ++q) aliased[q].c = &c[q / 2 * 2];
+    const GemmBatchLayout paired = plan_gemm_batch_split(mk, aliased, b, 3);
+    ASSERT_STREQ(kind(paired), "items");
+    for (const std::size_t cut : paired.item_begin) EXPECT_EQ(cut % 2, 0u);
+    // gemm_batch_split refuses a cut through an aliased pair.
+    ComputePool pool(2);
+    EXPECT_THROW(gemm_batch_split(pool, item_layout({0, 3, 8}), mk, 1.0,
+                                  aliased, b, 1.0),
+                 Error);
+  }
+  // Wide and short: the A rows sum to no more than B's width, so item
+  // ranges (re-packing B each) would cost more than they save.
+  {
+    const Tile wide_b = random_tile(300, 300, rng);
+    const Tile a1 = random_tile(20, 300, rng), a2 = random_tile(20, 300, rng);
+    Tile c1(20, 300), c2(20, 300);
+    const std::vector<GemmBatchItem> wide = {{&a1, &c1}, {&a2, &c2}};
+    EXPECT_STREQ(kind(plan_gemm_batch_split(mk, wide, wide_b, 3)), "one");
+  }
+  // Tiny batch: below every grain, it stays on the caller.
+  {
+    const Tile small_a = random_tile(8, 8, rng);
+    const Tile small_b = random_tile(8, 64, rng);
+    Tile small_c(8, 64);
+    const std::vector<GemmBatchItem> small = {{&small_a, &small_c}};
+    EXPECT_STREQ(kind(plan_gemm_batch_split(mk, small, small_b, 4)), "one");
+  }
+}
+
+/// The process's malloc arenas: malloc_info lists one <heap> per arena.
+int malloc_arenas() {
+  char* text = nullptr;
+  std::size_t size = 0;
+  FILE* out = open_memstream(&text, &size);
+  if (out == nullptr) return -1;
+  malloc_info(0, out);
+  std::fclose(out);
+  int arenas = 0;
+  for (const char* p = text; (p = std::strstr(p, "<heap nr=")) != nullptr;
+       ++p) {
+    ++arenas;
+  }
+  std::free(text);
+  return arenas;
+}
+
+TEST(GemmBatchSplit, HelperUnitsLeaveMallocAlone) {
+  // Pool helpers running GEMM units must not touch malloc. A thread's
+  // first malloc or free ties it to a glibc arena for good — a new one
+  // unless an exited thread left one behind — and blocks it frees stay in
+  // its own cache. Helpers that did (the pack arena's thread-exit
+  // registration and buffer; job-queue blocks a lane allocated and a
+  // helper freed) raised abcd-fine's peak RSS from ~180 to ~190 MiB in
+  // most runs. Under ctest no thread has exited before this test, so a
+  // helper that touched malloc adds an arena.
+  const MicroKernel& mk = default_microkernel();
+  Rng rng(31);
+  const Tile b = random_tile(52, 52, rng);
+  std::vector<Tile> a, c;
+  for (int q = 0; q < 6; ++q) {
+    a.push_back(random_tile(83, 52, rng));
+    c.emplace_back(83, 52);
+  }
+  std::vector<GemmBatchItem> items;
+  for (std::size_t q = 0; q < a.size(); ++q) items.push_back({&a[q], &c[q]});
+  const GemmBatchLayout layout = item_layout({0, 2, 4, 6});
+  const int arenas = malloc_arenas();
+  ComputePool pool(3);
+  for (int round = 0; round < 200; ++round) {
+    gemm_batch_split(pool, layout, mk, 1.0, items, b, 1.0);
+  }
+  EXPECT_EQ(malloc_arenas(), arenas);
 }
 
 TEST(GemmKernels, ScalarAndActiveKernelsAgree) {
