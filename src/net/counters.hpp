@@ -3,14 +3,15 @@
 /// \file counters.hpp
 /// Wire-level traffic counters.
 ///
-/// Every socket send/receive and every connect retry updates a
-/// WireCounters instance; NetTransport threads its own, and the
-/// process-wide registry feeds ServiceMetrics so `bstc_cli serve-batch`
-/// surfaces network activity next to the serving counters. All counters
-/// are monotonic and lock-free.
+/// Every socket send/receive, connect retry and A-broadcast hop updates a
+/// WireCounters instance; NetTransport threads its own. WireCounters is
+/// the only owner of these numbers: the service exposition and the launch
+/// summary both render a snapshot through prometheus_text() below. All
+/// counters are monotonic and lock-free.
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 namespace bstc::net {
 
@@ -101,8 +102,12 @@ class WireCounters {
 };
 
 /// The process-wide counter instance. Every net component that is not
-/// given an explicit WireCounters records here; ServiceMetrics snapshots
-/// it. (A worker process naturally reports its own traffic only.)
+/// given an explicit WireCounters records here; the service exposition
+/// renders it. (A worker process naturally reports its own traffic only.)
 WireCounters& global_wire_counters();
+
+/// Unlabelled Prometheus lines for all twelve counts of a snapshot
+/// (bstc_wire_*_total, bstc_bcast_*_total); zeros included.
+std::string prometheus_text(const WireCounterSnapshot& s);
 
 }  // namespace bstc::net

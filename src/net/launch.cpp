@@ -498,21 +498,9 @@ int run_worker(const WorkerOptions& opts) {
   summary.bcast_frames = wc.bcast_frames_sent;
   summary.bcast_fwd_frames = wc.bcast_fwd_frames_sent;
   summary.shm_publishes = wc.shm_publishes;
-  {
-    // Rank-labelled Prometheus lines; the launch CLI concatenates them
-    // into one exposition file (--metrics-out).
-    const auto metric = [&](const char* name, std::uint64_t v) {
-      summary.metrics_text += std::string(name) + "{rank=\"" +
-                              std::to_string(rank) + "\"} " +
-                              std::to_string(v) + "\n";
-    };
-    metric("bstc_bcast_frames_total", wc.bcast_frames_sent);
-    metric("bstc_bcast_fwd_frames_total", wc.bcast_fwd_frames_sent);
-    metric("bstc_bcast_inter_bytes_total", wc.a_payload_inter_bytes);
-    metric("bstc_bcast_intra_bytes_total", wc.a_payload_intra_bytes);
-    metric("bstc_bcast_shm_bytes_total", wc.shm_payload_bytes);
-    metric("bstc_bcast_shm_publishes_total", wc.shm_publishes);
-  }
+  // Rank-labelled Prometheus lines; the launch CLI concatenates them into
+  // one exposition file (--metrics-out).
+  summary.metrics_text = obs::label_rank(prometheus_text(wc), rank);
   send_frame(launcher, encode_summary(summary), &counters);
   if (rank == 0) send_frame(launcher, encode_verdict(verdict), &counters);
 

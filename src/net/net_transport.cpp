@@ -108,7 +108,6 @@ void NetTransport::dispatch_bcast(const Frame& frame,
                                   const std::vector<int>& children,
                                   std::size_t tile_bytes) {
   if (children.empty()) return;
-  obs::Registry& reg = obs::Registry::instance();
   const bool is_bcast_frame = frame.type == FrameType::kBcast ||
                               frame.type == FrameType::kBcastFwd;
   const bool forwarded = frame.type == FrameType::kBcastFwd;
@@ -120,28 +119,20 @@ void NetTransport::dispatch_bcast(const Frame& frame,
     // so summing recorder totals over ranks counts every hop once.
     recorder_.record(rank_, child, static_cast<double>(tile_bytes));
     if (counters_ != nullptr) counters_->add_a_payload(!intra, tile_bytes);
-    reg.counter_add(intra ? "bstc_bcast_intra_bytes_total"
-                          : "bstc_bcast_inter_bytes_total",
-                    static_cast<std::uint64_t>(tile_bytes));
     if (intra && own_ring_ != nullptr) {
       ring_mask |= std::uint64_t{1} << child;
       if (counters_ != nullptr) counters_->add_shm_payload(tile_bytes);
-      reg.counter_add("bstc_bcast_shm_bytes_total",
-                      static_cast<std::uint64_t>(tile_bytes));
       continue;
     }
     post(child, Frame{frame.type, frame.payload});
     if (is_bcast_frame) {
       if (counters_ != nullptr) counters_->add_bcast_frame_sent(forwarded);
-      reg.counter_add(forwarded ? "bstc_bcast_fwd_frames_total"
-                                : "bstc_bcast_frames_total");
     }
   }
   if (ring_mask != 0) {
     own_ring_->publish(ring_mask, static_cast<std::uint8_t>(frame.type),
                        frame.payload.data(), frame.payload.size());
     if (counters_ != nullptr) counters_->add_shm_publish();
-    reg.counter_add("bstc_bcast_shm_publishes_total");
   }
 }
 

@@ -136,67 +136,8 @@ ServiceStatus response_to_outcome(const ResponseMsg& msg,
 // ---------------------------------------------------------------------------
 // Metrics gather.
 
-std::vector<std::uint64_t> pack_rank_counters(const ServiceMetrics& m) {
-  std::vector<std::uint64_t> c(kServeRankCounterCount, 0);
-  c[kCtrSubmitted] = m.submitted;
-  c[kCtrRejected] = m.rejected;
-  c[kCtrCompleted] = m.completed;
-  c[kCtrFailed] = m.failed;
-  c[kCtrPlanHits] = m.plan_cache.hits;
-  c[kCtrPlanMisses] = m.plan_cache.misses;
-  c[kCtrPlanEvictions] = m.plan_cache.evictions;
-  c[kCtrPlanSize] = m.plan_cache.size;
-  c[kCtrSessionsOpened] = m.sessions_opened;
-  c[kCtrSessionsClosed] = m.sessions_closed;
-  c[kCtrIterations] = m.iterations;
-  c[kCtrExplains] = m.explains;
-  c[kCtrBTilesGenerated] = m.b_tiles_generated;
-  c[kCtrShmStoreBuilds] = m.shm_store_builds;
-  c[kCtrShmAttaches] = m.shm_attaches;
-  c[kCtrShmSwaps] = m.shm_swaps;
-  c[kCtrShmResidentBytes] = m.shm_resident_bytes;
-  c[kCtrShmGeneration] = m.shm_generation;
-  c[kCtrExprPrograms] = m.expr_programs;
-  c[kCtrExprNodes] = m.expr_nodes;
-  c[kCtrExprIntermediatesBuilt] = m.expr_intermediates_built;
-  c[kCtrExprIntermediateReuse] = m.expr_intermediate_reuse;
-  c[kCtrExprIntermediatesReleased] = m.expr_intermediates_released;
-  return c;
-}
-
-ServeRankMetrics unpack_rank_metrics(const ServiceCtlMsg& msg) {
-  BSTC_REQUIRE(msg.op == ServiceCtlOp::kMetricsReply,
-               "serve: expected a metrics reply");
-  BSTC_REQUIRE(msg.counters.size() >= kServeRankCounterCount,
-               "serve: short metrics counter vector");
-  ServeRankMetrics m;
-  m.rank = static_cast<int>(msg.rank);
-  m.submitted = msg.counters[kCtrSubmitted];
-  m.rejected = msg.counters[kCtrRejected];
-  m.completed = msg.counters[kCtrCompleted];
-  m.failed = msg.counters[kCtrFailed];
-  m.plan_hits = msg.counters[kCtrPlanHits];
-  m.plan_misses = msg.counters[kCtrPlanMisses];
-  m.plan_evictions = msg.counters[kCtrPlanEvictions];
-  m.plan_size = msg.counters[kCtrPlanSize];
-  m.sessions_opened = msg.counters[kCtrSessionsOpened];
-  m.sessions_closed = msg.counters[kCtrSessionsClosed];
-  m.iterations = msg.counters[kCtrIterations];
-  m.explains = msg.counters[kCtrExplains];
-  m.b_tiles_generated = msg.counters[kCtrBTilesGenerated];
-  m.shm_store_builds = msg.counters[kCtrShmStoreBuilds];
-  m.shm_attaches = msg.counters[kCtrShmAttaches];
-  m.shm_swaps = msg.counters[kCtrShmSwaps];
-  m.shm_resident_bytes = msg.counters[kCtrShmResidentBytes];
-  m.shm_generation = msg.counters[kCtrShmGeneration];
-  m.expr_programs = msg.counters[kCtrExprPrograms];
-  m.expr_nodes = msg.counters[kCtrExprNodes];
-  m.expr_intermediates_built = msg.counters[kCtrExprIntermediatesBuilt];
-  m.expr_intermediate_reuse = msg.counters[kCtrExprIntermediateReuse];
-  m.expr_intermediates_released =
-      msg.counters[kCtrExprIntermediatesReleased];
-  m.prometheus = msg.text;
-  return m;
+double ServeRankMetrics::value(std::string_view series) const {
+  return obs::series_value(prometheus, obs::label_rank(series, rank));
 }
 
 // ---------------------------------------------------------------------------
@@ -229,6 +170,10 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
     if (shm::Status st = store->refresh(); !st) return 1;
   }
   LocalService local(opts.service, rank, store);
+  // This rank's section always carries its B-generation count, zero
+  // included: over the ranks of a node sharing a store, the zeros witness
+  // one materialization per node.
+  obs::Registry::instance().counter_add("bstc_b_tiles_generated_total", 0);
   std::mutex tx_mutex;
   const auto send = [&](const Frame& frame) {
     std::lock_guard lock(tx_mutex);
@@ -294,12 +239,10 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
       } else if (frame->type == FrameType::kServiceCtl) {
         const ServiceCtlMsg ctl = decode_service_ctl(*frame);
         if (ctl.op == ServiceCtlOp::kMetricsQuery) {
-          const ServiceMetrics m = local.metrics();
           ServiceCtlMsg reply;
           reply.op = ServiceCtlOp::kMetricsReply;
           reply.rank = static_cast<std::uint32_t>(rank);
-          reply.counters = pack_rank_counters(m);
-          reply.text = metrics_prometheus(m, rank);
+          reply.text = metrics_prometheus(local.metrics(), rank);
           send(encode_service_ctl(reply));
         } else if (ctl.op == ServiceCtlOp::kStoreSwap) {
           // Generation doorbell: re-read the control segment and swap.
@@ -621,7 +564,10 @@ std::vector<ServeRankMetrics> ServeRouter::gather_metrics() {
   });
   for (const int rank : targets) {
     const Worker& w = *workers_[static_cast<std::size_t>(rank) - 1];
-    if (w.metrics_ready) out.push_back(unpack_rank_metrics(w.metrics_reply));
+    if (w.metrics_ready) {
+      out.push_back({static_cast<int>(w.metrics_reply.rank),
+                     w.metrics_reply.text});
+    }
   }
   return out;
 }

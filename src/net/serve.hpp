@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,69 +70,17 @@ ServiceStatus response_to_outcome(const ResponseMsg& msg,
 // ---------------------------------------------------------------------------
 // Per-rank metrics gather.
 
-/// Ordered layout of ServiceCtlMsg::counters in a kMetricsReply.
-enum ServeRankCounter : std::size_t {
-  kCtrSubmitted = 0,
-  kCtrRejected,
-  kCtrCompleted,
-  kCtrFailed,
-  kCtrPlanHits,
-  kCtrPlanMisses,
-  kCtrPlanEvictions,
-  kCtrPlanSize,
-  kCtrSessionsOpened,
-  kCtrSessionsClosed,
-  kCtrIterations,
-  kCtrExplains,
-  // Shared-memory data plane (appended; both ends of one serve mesh run
-  // the same binary, and unpack tolerates longer vectors).
-  kCtrBTilesGenerated,
-  kCtrShmStoreBuilds,
-  kCtrShmAttaches,
-  kCtrShmSwaps,
-  kCtrShmResidentBytes,
-  kCtrShmGeneration,
-  // Contraction-program layer (appended, same compatibility rule).
-  kCtrExprPrograms,
-  kCtrExprNodes,
-  kCtrExprIntermediatesBuilt,
-  kCtrExprIntermediateReuse,
-  kCtrExprIntermediatesReleased,
-  kServeRankCounterCount,
-};
-
-std::vector<std::uint64_t> pack_rank_counters(const ServiceMetrics& m);
-
-/// One worker rank's counters as gathered by the front.
+/// One worker rank's metrics as gathered by the front: its rank-labelled
+/// exposition (metrics_prometheus(m, rank)), the only form the gather
+/// ships.
 struct ServeRankMetrics {
   int rank = -1;
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
-  std::uint64_t plan_evictions = 0;
-  std::uint64_t plan_size = 0;
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t sessions_closed = 0;
-  std::uint64_t iterations = 0;
-  std::uint64_t explains = 0;
-  std::uint64_t b_tiles_generated = 0;  ///< local B materializations
-  std::uint64_t shm_store_builds = 0;
-  std::uint64_t shm_attaches = 0;
-  std::uint64_t shm_swaps = 0;
-  std::uint64_t shm_resident_bytes = 0;
-  std::uint64_t shm_generation = 0;
-  std::uint64_t expr_programs = 0;  ///< program iterations this rank ran
-  std::uint64_t expr_nodes = 0;
-  std::uint64_t expr_intermediates_built = 0;
-  std::uint64_t expr_intermediate_reuse = 0;
-  std::uint64_t expr_intermediates_released = 0;
-  std::string prometheus;  ///< rank-labeled exposition text
-};
+  std::string prometheus;
 
-ServeRankMetrics unpack_rank_metrics(const ServiceCtlMsg& msg);
+  /// The value of `series` (`name` or `name{labels}`, unlabelled by rank)
+  /// in this rank's text; 0 when absent. Throws on a malformed line.
+  double value(std::string_view series) const;
+};
 
 // ---------------------------------------------------------------------------
 // Worker side.

@@ -236,7 +236,7 @@ struct SummaryMsg {
   std::uint64_t bcast_frames = 0;      ///< kBcast frames this rank sent
   std::uint64_t bcast_fwd_frames = 0;  ///< kBcastFwd relays this rank sent
   std::uint64_t shm_publishes = 0;     ///< staging-ring publish calls
-  std::string metrics_text;  ///< rank-labelled bstc_bcast_* Prometheus lines
+  std::string metrics_text;  ///< rank-labelled bstc_wire_*/bstc_bcast_* lines
 };
 
 Frame encode_summary(const SummaryMsg& msg);
@@ -359,7 +359,7 @@ ResponseMsg decode_response(const Frame& frame);
 /// Service-control verbs multiplexed on one frame type.
 enum class ServiceCtlOp : std::uint8_t {
   kMetricsQuery = 1,  ///< front -> worker: snapshot your counters
-  kMetricsReply = 2,  ///< worker -> front: counters + Prometheus text
+  kMetricsReply = 2,  ///< worker -> front: rank-labelled Prometheus text
   kDrain = 3,         ///< front -> worker: finish in-flight work and exit
   kDrainAck = 4,      ///< worker -> front: drained, about to exit
   kCrash = 5,         ///< fault injection: die immediately (tests only)
@@ -371,9 +371,9 @@ enum class ServiceCtlOp : std::uint8_t {
 
 const char* service_ctl_op_name(ServiceCtlOp op);
 
-/// A control exchange on the service mesh. `counters` is an opaque
-/// ordered vector whose layout the serve layer defines (ServeRankCounter);
-/// `text` carries the worker's Prometheus exposition on kMetricsReply.
+/// A control exchange on the service mesh. `counters` carries the
+/// kStoreSwapAck outcome and is empty otherwise; `text` carries the
+/// worker's Prometheus exposition on kMetricsReply.
 struct ServiceCtlMsg {
   ServiceCtlOp op = ServiceCtlOp::kMetricsQuery;
   std::uint32_t rank = 0;

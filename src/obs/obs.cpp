@@ -1,7 +1,10 @@
 #include "obs/obs.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <utility>
+
+#include "support/error.hpp"
 
 namespace bstc::obs {
 
@@ -82,7 +85,11 @@ void Registry::observe(const std::string& name, double value, double lo,
     it = histograms_.emplace(name, HistogramData{Histogram(lo, hi, bins), 0.0})
              .first;
   }
-  it->second.hist.add(value);
+  if (value > it->second.hist.hi()) {
+    ++it->second.above;
+  } else {
+    it->second.hist.add(value);
+  }
   it->second.sum += value;
 }
 
@@ -176,9 +183,10 @@ std::string prometheus_text(const Registry& reg) {
       out += name + "_bucket{le=\"" + fmt_value(edge) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
-    out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.total()) + "\n";
+    out += name + "_bucket{le=\"+Inf\"} " + std::to_string(data.count()) +
+           "\n";
     out += name + "_sum " + fmt_value(data.sum) + "\n";
-    out += name + "_count " + std::to_string(h.total()) + "\n";
+    out += name + "_count " + std::to_string(data.count()) + "\n";
   }
   // Span volume per category, so scrapes see tracing activity without
   // parsing the trace itself.
@@ -193,6 +201,60 @@ std::string prometheus_text(const Registry& reg) {
     }
   }
   return out;
+}
+
+std::string label_rank(std::string_view text, int rank) {
+  const std::string label = "rank=\"" + std::to_string(rank) + "\"";
+  std::string out;
+  out.reserve(text.size() + text.size() / 2);
+  while (!text.empty()) {
+    const std::size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    const std::size_t brace = line.find('{');
+    const std::size_t space = line.find(' ');
+    if (line.empty() || line.front() == '#') {
+      out += line;
+    } else if (brace < space) {
+      out.append(line, 0, brace + 1);
+      out += label;
+      if (line.compare(brace + 1, 1, "}") != 0) out += ',';
+      out.append(line, brace + 1);
+    } else {
+      out.append(line, 0, space);
+      out += "{" + label + "}";
+      if (space != std::string_view::npos) out.append(line, space);
+    }
+    if (eol != std::string_view::npos) out += '\n';
+  }
+  return out;
+}
+
+double series_value(std::string_view text, std::string_view series) {
+  double found = 0.0;
+  while (!text.empty()) {
+    const std::size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    if (line.empty() || line.front() == '#') continue;
+    // The series ends at its closing brace when it has labels (label
+    // values may hold spaces), else at the first space.
+    std::size_t end = line.find(' ');
+    if (line.find('{') < end) {
+      end = line.find('}');
+      if (end != std::string_view::npos) ++end;
+    }
+    BSTC_REQUIRE(end != std::string_view::npos && end > 0 &&
+                     end + 1 < line.size() && line[end] == ' ',
+                 "exposition: malformed line: " + std::string(line));
+    const std::string value(line.substr(end + 1));
+    char* parsed = nullptr;
+    const double v = std::strtod(value.c_str(), &parsed);
+    BSTC_REQUIRE(parsed == value.c_str() + value.size(),
+                 "exposition: malformed value: " + std::string(line));
+    if (line.substr(0, end) == series) found = v;
+  }
+  return found;
 }
 
 }  // namespace bstc::obs

@@ -3,8 +3,10 @@
 /// \file obs.hpp
 /// Process-wide observability registry: spans, counters, gauges and
 /// latency histograms. Compute task timelines are recorded here directly
-/// by the scheduler; the serving layer's ServiceMetrics and the net
-/// layer's WireCounters are exposed alongside.
+/// by the scheduler. The registry owns every counter, gauge and histogram
+/// that no other layer owns; expositions that also show the service's,
+/// the autotuner's or the wire's own numbers concatenate their text with
+/// this registry's (service/metrics.hpp).
 ///
 /// Spans are timeline intervals with a category (`task`, `comm.tx`,
 /// `comm.rx`, `barrier`, `plan`, `service.request`, `phase`) and a lane
@@ -28,6 +30,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/histogram.hpp"
@@ -62,11 +65,16 @@ struct Span {
   std::uint64_t bytes = 0;  ///< payload size for comm spans, else 0
 };
 
-/// A histogram plus the sample sum the Prometheus exposition needs
-/// (support/histogram tracks counts only).
+/// A histogram plus what the Prometheus exposition needs beyond
+/// support/histogram's counts: the exact sample sum, and the samples above
+/// the histogram's range, which `hist` never sees (it would clamp them
+/// into its last bin).
 struct HistogramData {
   Histogram hist;
   double sum = 0.0;
+  std::size_t above = 0;  ///< samples > hist.hi()
+
+  std::size_t count() const { return hist.total() + above; }
 };
 
 /// Lanes below this are reserved for scheduler queue ids; lanes handed
@@ -161,9 +169,23 @@ class ScopedSpan {
 
 /// Prometheus-style text exposition of the registry's counters, gauges
 /// and histograms (`name{labels} value` lines; histograms as cumulative
-/// `_bucket{le="..."}` plus `_sum` / `_count`). Values outside a
-/// histogram's range are clamped into its edge bins, so the last
-/// finite bucket may undercount relative to +Inf semantics.
+/// `_bucket{le="..."}` plus `_sum` / `_count`). A sample above a
+/// histogram's range counts only in its `+Inf` bucket; one below it counts
+/// in the first bucket, which holds it as `le` semantics require. `_sum`
+/// is exact either way.
 std::string prometheus_text(const Registry& reg);
+
+/// The one rank labeller of the exposition: every series line of `text`
+/// gains a `rank="N"` label, placed first — `name v` becomes
+/// `name{rank="N"} v`, `name{a="x"} v` becomes `name{rank="N",a="x"} v`.
+/// Blank and `#` lines pass unchanged. A bare series (no value) is
+/// labelled the same way.
+std::string label_rank(std::string_view text, int rank);
+
+/// The value of `series` (`name` or `name{labels}`, exactly as written in
+/// the text) in exposition `text`; 0 when the series is absent. Every
+/// line is checked: one that is not `series value` with a numeric value
+/// throws, since the text may come from another process.
+double series_value(std::string_view text, std::string_view series);
 
 }  // namespace bstc::obs

@@ -9,7 +9,6 @@
 #include "service/fingerprint.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
-#include "tile/autotune.hpp"
 
 namespace bstc {
 
@@ -439,49 +438,6 @@ ServiceMetrics ContractionService::metrics() const {
     out = metrics_;
   }
   out.plan_cache = cache_.stats();
-  out.wire = net::global_wire_counters().snapshot();
-  // Shared-memory data plane counters live in the process-wide obs
-  // registry (the generator and the shm layer both bump it); mirroring
-  // them here lets the distributed gather ship them per rank.
-  {
-    const obs::Registry& reg = obs::Registry::instance();
-    const auto counters = reg.counters();
-    const auto counter = [&counters](const char* name) -> std::size_t {
-      const auto it = counters.find(name);
-      return it == counters.end() ? 0 : static_cast<std::size_t>(it->second);
-    };
-    out.b_tiles_generated = counter("bstc_b_tiles_generated_total");
-    out.shm_store_builds = counter("bstc_shm_store_builds_total");
-    out.shm_attaches = counter("bstc_shm_attaches_total");
-    out.shm_swaps = counter("bstc_shm_swaps_total");
-    out.expr_programs = counter("bstc_expr_programs_total");
-    out.expr_nodes = counter("bstc_expr_nodes_total");
-    out.expr_intermediates_built =
-        counter("bstc_expr_intermediates_built_total");
-    out.expr_intermediate_reuse =
-        counter("bstc_expr_intermediate_reuse_total");
-    out.expr_intermediates_released =
-        counter("bstc_expr_intermediates_released_total");
-    const auto gauges = reg.gauges();
-    const auto gauge = [&gauges](const char* name) -> std::size_t {
-      const auto it = gauges.find(name);
-      return it == gauges.end() || it->second < 0
-                 ? 0
-                 : static_cast<std::size_t>(it->second);
-    };
-    out.shm_resident_bytes = gauge("bstc_shm_resident_bytes");
-    out.shm_generation = gauge("bstc_shm_generation");
-  }
-  // Micro-kernel autotuner: snapshot the tuner itself rather than its obs
-  // mirror (tests swap the registry out from under the process tuner).
-  {
-    const Autotuner& tuner = Autotuner::instance();
-    const TuneStats tune = tuner.stats();
-    out.tune_lookups = static_cast<std::size_t>(tune.lookups);
-    out.tune_hits = static_cast<std::size_t>(tune.hits);
-    out.tune_benchmarks = static_cast<std::size_t>(tune.benchmarks);
-    out.tune_active = tuner.active_kernels();
-  }
   return out;
 }
 

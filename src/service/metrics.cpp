@@ -1,15 +1,18 @@
 #include "service/metrics.hpp"
 
 #include <cstdio>
+#include <utility>
 
+#include "net/counters.hpp"
 #include "obs/obs.hpp"
 #include "support/format.hpp"
+#include "tile/autotune.hpp"
 
 namespace bstc {
 
 TextTable metrics_table(const ServiceMetrics& m) {
   TextTable table({"metric", "value"});
-  const auto count = [&](const char* name, std::size_t v) {
+  const auto count = [&](const char* name, double v) {
     table.add_row({name, fmt_group(static_cast<std::int64_t>(v))});
   };
   const auto duration = [&](const char* name, double v) {
@@ -28,30 +31,36 @@ TextTable metrics_table(const ServiceMetrics& m) {
   count("sessions closed", m.sessions_closed);
   count("session iterations", m.iterations);
   count("plan explains", m.explains);
-  count("wire frames sent", static_cast<std::size_t>(m.wire.frames_sent));
-  count("wire frames received",
-        static_cast<std::size_t>(m.wire.frames_received));
-  count("wire bytes sent", static_cast<std::size_t>(m.wire.bytes_sent));
-  count("wire bytes received",
-        static_cast<std::size_t>(m.wire.bytes_received));
-  count("wire connect retries",
-        static_cast<std::size_t>(m.wire.connect_retries));
-  count("wire reconnects", static_cast<std::size_t>(m.wire.reconnects));
-  count("B tiles generated", m.b_tiles_generated);
-  count("shm store builds", m.shm_store_builds);
-  count("shm attaches", m.shm_attaches);
-  count("shm swaps", m.shm_swaps);
-  count("shm resident bytes", m.shm_resident_bytes);
-  count("shm generation", m.shm_generation);
-  count("expr programs", m.expr_programs);
-  count("expr nodes", m.expr_nodes);
-  count("expr intermediates built", m.expr_intermediates_built);
-  count("expr intermediate reuse", m.expr_intermediate_reuse);
-  count("expr intermediates released", m.expr_intermediates_released);
-  count("tune lookups", m.tune_lookups);
-  count("tune hits", m.tune_hits);
-  count("tune benchmarks", m.tune_benchmarks);
-  for (const auto& [kernel, buckets] : m.tune_active) {
+  // Numbers other layers own, read back from the exposition by series.
+  static constexpr std::pair<const char*, const char*> kOwned[] = {
+      {"wire frames sent", "bstc_wire_frames_sent_total"},
+      {"wire frames received", "bstc_wire_frames_received_total"},
+      {"wire bytes sent", "bstc_wire_bytes_sent_total"},
+      {"wire bytes received", "bstc_wire_bytes_received_total"},
+      {"wire connect retries", "bstc_wire_connect_retries_total"},
+      {"wire reconnects", "bstc_wire_reconnects_total"},
+      {"B tiles generated", "bstc_b_tiles_generated_total"},
+      {"shm store builds", "bstc_shm_store_builds_total"},
+      {"shm attaches", "bstc_shm_attaches_total"},
+      {"shm swaps", "bstc_shm_swaps_total"},
+      {"shm resident bytes", "bstc_shm_resident_bytes"},
+      {"shm generation", "bstc_shm_generation"},
+      {"expr programs", "bstc_expr_programs_total"},
+      {"expr nodes", "bstc_expr_nodes_total"},
+      {"expr intermediates built", "bstc_expr_intermediates_built_total"},
+      {"expr intermediate reuse", "bstc_expr_intermediate_reuse_total"},
+      {"expr intermediates released",
+       "bstc_expr_intermediates_released_total"},
+      {"tune lookups", "bstc_tune_lookups_total"},
+      {"tune hits", "bstc_tune_hits_total"},
+      {"tune benchmarks", "bstc_tune_benchmarks_total"},
+  };
+  const std::string text = metrics_prometheus(m);
+  for (const auto& [name, series] : kOwned) {
+    count(name, obs::series_value(text, series));
+  }
+  for (const auto& [kernel, buckets] :
+       Autotuner::instance().active_kernels()) {
     table.add_row({"tune buckets (" + kernel + ")",
                    fmt_group(static_cast<std::int64_t>(buckets))});
   }
@@ -65,11 +74,9 @@ TextTable metrics_table(const ServiceMetrics& m) {
 
 std::string metrics_prometheus(const ServiceMetrics& m, int rank) {
   std::string out;
-  char labels[32] = "";
-  if (rank >= 0) std::snprintf(labels, sizeof labels, "{rank=\"%d\"}", rank);
-  const auto line = [&out, &labels](const char* name, double v) {
+  const auto line = [&out](const char* name, double v) {
     char buf[128];
-    std::snprintf(buf, sizeof buf, "%s%s %.9g\n", name, labels, v);
+    std::snprintf(buf, sizeof buf, "%s %.9g\n", name, v);
     out += buf;
   };
   line("bstc_service_submitted_total", static_cast<double>(m.submitted));
@@ -88,62 +95,24 @@ std::string metrics_prometheus(const ServiceMetrics& m, int rank) {
   line("bstc_sessions_closed_total", static_cast<double>(m.sessions_closed));
   line("bstc_session_iterations_total", static_cast<double>(m.iterations));
   line("bstc_plan_explains_total", static_cast<double>(m.explains));
-  line("bstc_wire_frames_sent_total",
-       static_cast<double>(m.wire.frames_sent));
-  line("bstc_wire_frames_received_total",
-       static_cast<double>(m.wire.frames_received));
-  line("bstc_wire_bytes_sent_total", static_cast<double>(m.wire.bytes_sent));
-  line("bstc_wire_bytes_received_total",
-       static_cast<double>(m.wire.bytes_received));
-  line("bstc_wire_connect_retries_total",
-       static_cast<double>(m.wire.connect_retries));
-  line("bstc_wire_reconnects_total", static_cast<double>(m.wire.reconnects));
-  if (rank >= 0) {
-    // Shared-memory data plane, per rank. Unlabeled output (rank < 0)
-    // already carries these via the obs registry text below; emitting
-    // both would duplicate the metric names.
-    line("bstc_b_tiles_generated_total",
-         static_cast<double>(m.b_tiles_generated));
-    line("bstc_shm_store_builds_total",
-         static_cast<double>(m.shm_store_builds));
-    line("bstc_shm_attaches_total", static_cast<double>(m.shm_attaches));
-    line("bstc_shm_swaps_total", static_cast<double>(m.shm_swaps));
-    line("bstc_shm_resident_bytes",
-         static_cast<double>(m.shm_resident_bytes));
-    line("bstc_shm_generation", static_cast<double>(m.shm_generation));
-    // Contraction-program layer, per rank (unlabeled output carries
-    // these via the obs registry text below, like the shm block).
-    line("bstc_expr_programs_total", static_cast<double>(m.expr_programs));
-    line("bstc_expr_nodes_total", static_cast<double>(m.expr_nodes));
-    line("bstc_expr_intermediates_built_total",
-         static_cast<double>(m.expr_intermediates_built));
-    line("bstc_expr_intermediate_reuse_total",
-         static_cast<double>(m.expr_intermediate_reuse));
-    line("bstc_expr_intermediates_released_total",
-         static_cast<double>(m.expr_intermediates_released));
-    // Micro-kernel autotuner, per rank (unlabeled output carries these
-    // via the obs registry text below). The active-kernel gauge gets a
-    // combined {rank, kernel} label set so one gather shows which
-    // geometry each rank converged on.
-    line("bstc_tune_lookups_total", static_cast<double>(m.tune_lookups));
-    line("bstc_tune_hits_total", static_cast<double>(m.tune_hits));
-    line("bstc_tune_benchmarks_total",
-         static_cast<double>(m.tune_benchmarks));
-    for (const auto& [kernel, buckets] : m.tune_active) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "bstc_tune_active_buckets{rank=\"%d\",kernel=\"%s\"} "
-                    "%zu\n",
-                    rank, kernel.c_str(), buckets);
-      out += buf;
-    }
-  }
   line("bstc_service_queue_wait_seconds_total", m.total_queue_wait_s);
   line("bstc_service_queue_wait_seconds_max", m.max_queue_wait_s);
   line("bstc_service_inspect_seconds_total", m.total_inspect_s);
   line("bstc_service_execute_seconds_total", m.total_execute_s);
-  if (rank < 0) out += obs::prometheus_text(obs::Registry::instance());
-  return out;
+  // The micro-kernel autotuner owns its counts; the active-kernel gauge
+  // shows which geometry each rank converged on.
+  const Autotuner& tuner = Autotuner::instance();
+  const TuneStats tune = tuner.stats();
+  line("bstc_tune_lookups_total", static_cast<double>(tune.lookups));
+  line("bstc_tune_hits_total", static_cast<double>(tune.hits));
+  line("bstc_tune_benchmarks_total", static_cast<double>(tune.benchmarks));
+  for (const auto& [kernel, buckets] : tuner.active_kernels()) {
+    out += "bstc_tune_active_buckets{kernel=\"" + kernel + "\"} " +
+           std::to_string(buckets) + "\n";
+  }
+  out += net::prometheus_text(net::global_wire_counters().snapshot());
+  out += obs::prometheus_text(obs::Registry::instance());
+  return rank >= 0 ? obs::label_rank(out, rank) : out;
 }
 
 }  // namespace bstc

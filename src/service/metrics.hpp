@@ -3,13 +3,15 @@
 /// \file metrics.hpp
 /// Service-level counters and timing aggregates for ContractionService,
 /// plus a TextTable rendering for the CLI / benches.
+///
+/// ServiceMetrics holds only what the service owns. The other numbers an
+/// exposition shows stay with their owners and are read at render time:
+/// the autotuner's counts (Autotuner), wire and broadcast traffic
+/// (net::WireCounters) and everything else (the obs registry).
 
 #include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "net/counters.hpp"
 #include "service/plan_cache.hpp"
 #include "support/table.hpp"
 
@@ -32,42 +34,6 @@ struct ServiceMetrics {
   std::size_t iterations = 0;  ///< session iterate() executions
   std::size_t explains = 0;    ///< plan-explain requests served
 
-  // Wire-level traffic of this process (frames, bytes, connect retries,
-  // reconnects) — the network layer's view, taken from the global
-  // WireCounters at snapshot time. All zero when no net transport ran.
-  net::WireCounterSnapshot wire;
-
-  // Shared-memory data plane, taken from the obs registry at snapshot
-  // time (process-wide, so the distributed-serve gather can prove
-  // one-materialization-per-node across ranks). All zero when neither a
-  // store nor a generator cache ran in this process.
-  std::size_t b_tiles_generated = 0;  ///< local B materializations
-  std::size_t shm_store_builds = 0;   ///< stores this process built
-  std::size_t shm_attaches = 0;       ///< read-only segment attaches
-  std::size_t shm_swaps = 0;          ///< generation hot-swaps taken
-  std::size_t shm_resident_bytes = 0; ///< shm bytes currently mapped
-  std::size_t shm_generation = 0;     ///< store generation being served
-
-  // Contraction-program (expr) layer, mirrored from the obs registry at
-  // snapshot time — what the distributed gather uses to witness one
-  // intermediate build per iteration and the reuse edges actually taken.
-  std::size_t expr_programs = 0;              ///< program iterations run
-  std::size_t expr_nodes = 0;                 ///< DAG nodes executed
-  std::size_t expr_intermediates_built = 0;   ///< shared intermediates built
-  std::size_t expr_intermediate_reuse = 0;    ///< consumer hits beyond builds
-  std::size_t expr_intermediates_released = 0;///< refcount releases
-
-  // Micro-kernel autotuner (tile/autotune), mirrored from the Autotuner at
-  // snapshot time. The per-rank gather uses these to witness warm tuning
-  // caches (a warm second run reports zero benchmarks) and which kernels
-  // each rank actually runs.
-  std::size_t tune_lookups = 0;     ///< autotuned kernel selections
-  std::size_t tune_hits = 0;        ///< served from the selection table
-  std::size_t tune_benchmarks = 0;  ///< candidate kernels timed
-  /// (kernel name, buckets won) per selected kernel — the active-kernel
-  /// gauge, labeled per rank in the distributed gather.
-  std::vector<std::pair<std::string, std::size_t>> tune_active;
-
   // Timing aggregates over completed work (seconds).
   double total_queue_wait_s = 0.0;
   double max_queue_wait_s = 0.0;
@@ -87,14 +53,14 @@ struct ServiceMetrics {
 /// Two-column (metric, value) table of a snapshot.
 TextTable metrics_table(const ServiceMetrics& m);
 
-/// Prometheus-style text exposition of a snapshot (`name{labels} value`
-/// lines), followed by the obs registry's counters, gauges and latency
-/// histograms. Suitable for a file scrape or a /metrics endpoint.
+/// Prometheus-style text exposition (`name{labels} value` lines): the
+/// snapshot's service lines, then the process autotuner's counts, the
+/// process WireCounters and the obs registry's counters, gauges and
+/// histograms. Each series appears once. Suitable for a file scrape or a
+/// /metrics endpoint.
 ///
-/// When `rank >= 0` every bstc_* line gets a `{rank="N"}` label — the
-/// per-rank sections of a distributed-serve metrics artifact — and the
-/// process-local obs registry text is omitted (it has no rank labels and
-/// would collide across sections).
+/// When `rank >= 0` every line is labelled by obs::label_rank — the
+/// per-rank sections of a distributed-serve metrics artifact.
 std::string metrics_prometheus(const ServiceMetrics& m, int rank = -1);
 
 }  // namespace bstc

@@ -58,7 +58,6 @@ Autotuner::Autotuner() = default;
 Autotuner& Autotuner::instance() {
   static Autotuner* const tuner = [] {
     auto* t = new Autotuner();
-    t->mirror_registry_ = true;
     if (const char* env = std::getenv("BSTC_TUNE")) {
       if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
         t->enabled_ = false;
@@ -130,9 +129,6 @@ const MicroKernel& Autotuner::select(Index m, Index k, Index n) {
   {
     std::unique_lock lock(mutex_);
     ++stats_.lookups;
-    if (mirror_registry_) {
-      obs::Registry::instance().counter_add("bstc_tune_lookups_total");
-    }
     // A cold bucket's benchmark runs multiple milliseconds — far too long
     // to hold the table lock. The tuning thread marks the bucket in-flight
     // and benchmarks unlocked; concurrent misses of the SAME bucket wait
@@ -142,9 +138,6 @@ const MicroKernel& Autotuner::select(Index m, Index k, Index n) {
       auto it = table_.find(key);
       if (it != table_.end()) {
         ++stats_.hits;
-        if (mirror_registry_) {
-          obs::Registry::instance().counter_add("bstc_tune_hits_total");
-        }
         return *it->second;
       }
       if (tuning_.insert(key).second) break;  // we own this bucket's tune
@@ -165,7 +158,7 @@ const MicroKernel& Autotuner::select(Index m, Index k, Index n) {
   }
   {
     std::lock_guard lock(mutex_);
-    record_winner_locked(key, chosen);
+    table_[key] = chosen;
     tuning_.erase(key);
   }
   tuning_done_.notify_all();
@@ -230,31 +223,12 @@ const MicroKernel* Autotuner::benchmark_bucket(Index m, Index k, Index n) {
       std::lock_guard lock(mutex_);
       ++stats_.benchmarks;
     }
-    if (mirror_registry_) {
-      obs::Registry::instance().counter_add("bstc_tune_benchmarks_total");
-    }
     if (elapsed < best_time) {
       best_time = elapsed;
       best = &mk;
     }
   }
   return best;
-}
-
-void Autotuner::record_winner_locked(std::uint64_t key,
-                                     const MicroKernel* winner) {
-  table_[key] = winner;
-  if (mirror_registry_) publish_gauges_locked();
-}
-
-void Autotuner::publish_gauges_locked() const {
-  std::map<std::string, std::size_t> per_kernel;
-  for (const auto& [key, mk] : table_) per_kernel[mk->name] += 1;
-  obs::Registry& reg = obs::Registry::instance();
-  for (const auto& [name, buckets] : per_kernel) {
-    reg.gauge_set("bstc_tune_active_buckets{kernel=\"" + name + "\"}",
-                  static_cast<std::int64_t>(buckets));
-  }
 }
 
 void Autotuner::clear() {
@@ -351,7 +325,6 @@ shm::Status Autotuner::load_cache(const std::string& path) {
 
   std::lock_guard lock(mutex_);
   for (const auto& [key, mk] : loaded) table_[key] = mk;
-  if (mirror_registry_) publish_gauges_locked();
   return shm::Status::Ok();
 }
 

@@ -28,9 +28,10 @@
 ///                           new winners back to it;
 ///   * BSTC_KERNEL=avx2-8x6 (etc.) — pin one geometry, bypassing tuning.
 ///
-/// Observability: bstc_tune_{lookups,hits,benchmarks}_total counters and
-/// a per-kernel bstc_tune_active_buckets{kernel="..."} gauge in the obs
-/// registry; kTune spans mark benchmark pauses in traces.
+/// Observability: the tuner owns its counts (stats(), active_kernels());
+/// the service exposition renders them as bstc_tune_*_total and a
+/// per-kernel bstc_tune_active_buckets{kernel="..."} gauge. kTune spans
+/// mark benchmark pauses in traces.
 
 #include <condition_variable>
 #include <cstdint>
@@ -47,8 +48,7 @@
 
 namespace bstc {
 
-/// Counters of the autotuner's life so far (also mirrored to the obs
-/// registry as bstc_tune_*_total).
+/// Counters of the autotuner's life so far (exposed as bstc_tune_*_total).
 struct TuneStats {
   std::uint64_t lookups = 0;     ///< select() calls while enabled
   std::uint64_t hits = 0;        ///< served from the table (incl. cache)
@@ -142,8 +142,6 @@ class Autotuner {
 
  private:
   const MicroKernel* benchmark_bucket(Index m, Index k, Index n);
-  void record_winner_locked(std::uint64_t key, const MicroKernel* winner);
-  void publish_gauges_locked() const;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, const MicroKernel*> table_;
@@ -153,7 +151,6 @@ class Autotuner {
   bool enabled_ = true;
   const MicroKernel* pinned_ = nullptr;  ///< BSTC_KERNEL geometry pin
   std::string cache_path_;               ///< "" = no persistence
-  bool mirror_registry_ = false;  ///< process instance mirrors to obs
 };
 
 /// Autotuned kernel choice for one GEMM through the process instance.

@@ -167,16 +167,17 @@ TEST(ExprServeDistributed, CcsdProgramBitwiseEqualAcrossTopologies) {
 
   const std::vector<ServeRankMetrics> ranks = mesh.router->gather_metrics();
   ASSERT_EQ(ranks.size(), static_cast<std::size_t>(Mesh::kRanks));
-  std::uint64_t programs = 0, nodes = 0, built = 0, reuse = 0, released = 0;
+  double programs = 0, nodes = 0, built = 0, reuse = 0, released = 0;
   for (const ServeRankMetrics& r : ranks) {
-    programs += r.expr_programs;
-    nodes += r.expr_nodes;
-    built += r.expr_intermediates_built;
-    reuse += r.expr_intermediate_reuse;
-    released += r.expr_intermediates_released;
+    programs += r.value("bstc_expr_programs_total");
+    nodes += r.value("bstc_expr_nodes_total");
+    built += r.value("bstc_expr_intermediates_built_total");
+    reuse += r.value("bstc_expr_intermediate_reuse_total");
+    released += r.value("bstc_expr_intermediates_released_total");
     if (r.rank != owner) {
-      EXPECT_EQ(r.expr_programs, 0u) << "rank " << r.rank;
-      EXPECT_EQ(r.expr_intermediates_built, 0u) << "rank " << r.rank;
+      EXPECT_EQ(r.value("bstc_expr_programs_total"), 0u) << "rank " << r.rank;
+      EXPECT_EQ(r.value("bstc_expr_intermediates_built_total"), 0u)
+          << "rank " << r.rank;
     } else {
       EXPECT_NE(r.prometheus.find("bstc_expr_programs_total"),
                 std::string::npos);

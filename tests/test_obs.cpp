@@ -14,6 +14,7 @@
 
 #include "obs/obs.hpp"
 #include "obs/trace_merge.hpp"
+#include "support/error.hpp"
 
 namespace bstc::obs {
 namespace {
@@ -110,6 +111,76 @@ TEST(Obs, PrometheusTextExposesCountersGaugesAndHistograms) {
   const std::string traced = prometheus_text(reg);
   EXPECT_NE(traced.find("bstc_obs_spans_total{category=\"task\"} 1\n"),
             std::string::npos);
+}
+
+TEST(Obs, HistogramSamplesAboveTheRangeCountOnlyInInf) {
+  RegistryGuard guard;
+  Registry& reg = Registry::instance();
+  reg.clear();
+  // 2 bins over [0, 1]: 3 s lies past the last finite edge, 1 s on it,
+  // and -1 below the first (which every cumulative bucket holds).
+  reg.observe("bstc_test_wait_seconds", 3.0, 0.0, 1.0, 2);
+  reg.observe("bstc_test_wait_seconds", 1.0, 0.0, 1.0, 2);
+  reg.observe("bstc_test_wait_seconds", -1.0, 0.0, 1.0, 2);
+
+  const std::string text = prometheus_text(reg);
+  EXPECT_NE(text.find("bstc_test_wait_seconds_bucket{le=\"0.5\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("bstc_test_wait_seconds_bucket{le=\"1\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("bstc_test_wait_seconds_bucket{le=\"+Inf\"} 3\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("bstc_test_wait_seconds_sum 3\n"), std::string::npos);
+  EXPECT_NE(text.find("bstc_test_wait_seconds_count 3\n"), std::string::npos);
+}
+
+TEST(Obs, LabelRankPutsTheRankFirstOnEverySeries) {
+  // Plain series.
+  EXPECT_EQ(label_rank("bstc_x_total 3\n", 3),
+            "bstc_x_total{rank=\"3\"} 3\n");
+  // An existing label set keeps its labels after the rank.
+  EXPECT_EQ(
+      label_rank("bstc_tune_active_buckets{kernel=\"avx2-8x6\"} 4\n", 3),
+      "bstc_tune_active_buckets{rank=\"3\",kernel=\"avx2-8x6\"} 4\n");
+  // Histogram buckets, including +Inf.
+  EXPECT_EQ(label_rank("bstc_h_bucket{le=\"+Inf\"} 2\n", 0),
+            "bstc_h_bucket{rank=\"0\",le=\"+Inf\"} 2\n");
+  EXPECT_EQ(label_rank("bstc_obs_spans_total{category=\"task\"} 1\n", 12),
+            "bstc_obs_spans_total{rank=\"12\",category=\"task\"} 1\n");
+  // Several lines, comments and blanks kept, a bare series labelled too.
+  EXPECT_EQ(label_rank("# c\na 1\n\nb 2", 1),
+            "# c\na{rank=\"1\"} 1\n\nb{rank=\"1\"} 2");
+  EXPECT_EQ(label_rank("bstc_x_total", 2), "bstc_x_total{rank=\"2\"}");
+  EXPECT_EQ(label_rank("bstc_g{a=\"x\"}", 2),
+            "bstc_g{rank=\"2\",a=\"x\"}");
+}
+
+TEST(Obs, SeriesValueReadsOneSeriesAndRejectsMalformedText) {
+  const std::string text =
+      "bstc_x_total 3\n"
+      "bstc_h_bucket{le=\"+Inf\"} 7\n"
+      "bstc_obs_spans_total{rank=\"3\",category=\"task\"} 41\n"
+      "bstc_g 2.5e-3\n";
+  EXPECT_EQ(series_value(text, "bstc_x_total"), 3.0);
+  EXPECT_EQ(series_value(text, "bstc_h_bucket{le=\"+Inf\"}"), 7.0);
+  EXPECT_EQ(
+      series_value(text,
+                   label_rank("bstc_obs_spans_total{category=\"task\"}", 3)),
+      41.0);
+  EXPECT_EQ(series_value(text, "bstc_g"), 2.5e-3);
+  // Absent series — and a name that is only a prefix of one — read 0.
+  EXPECT_EQ(series_value(text, "bstc_absent_total"), 0.0);
+  EXPECT_EQ(series_value(text, "bstc_x"), 0.0);
+  EXPECT_EQ(series_value(text, "bstc_h_bucket"), 0.0);
+  // A malformed line anywhere in the text throws.
+  EXPECT_THROW(series_value(text + "bstc_y_total 12abc\n", "bstc_x_total"),
+               Error);
+  EXPECT_THROW(series_value("bstc_y_total\n", "bstc_x_total"), Error);
+  EXPECT_THROW(series_value("bstc_y_total \n", "bstc_x_total"), Error);
+  EXPECT_THROW(series_value("bstc_y{a=\"x\" 1\n", "bstc_x_total"), Error);
 }
 
 TEST(Obs, MergeAlignsClocksSortsAndNormalizes) {

@@ -105,11 +105,11 @@ TEST(ServeRouterStress, MixedFingerprintStormConservesRequests) {
     // exactly the ok count, and sticky routing means each fingerprint
     // cost exactly one cold plan build somewhere.
     const std::vector<ServeRankMetrics> ranks = router.gather_metrics();
-    std::uint64_t completed = 0, misses = 0, submitted = 0;
+    double completed = 0, misses = 0, submitted = 0;
     for (const ServeRankMetrics& r : ranks) {
-      completed += r.completed;
-      misses += r.plan_misses;
-      submitted += r.submitted;
+      completed += r.value("bstc_service_completed_total");
+      misses += r.value("bstc_plan_cache_misses_total");
+      submitted += r.value("bstc_service_submitted_total");
     }
     EXPECT_EQ(completed, static_cast<std::uint64_t>(ok.load()));
     EXPECT_EQ(submitted, static_cast<std::uint64_t>(ok.load()));
@@ -197,10 +197,10 @@ TEST(ServeRouterStress, ConcurrentSessionsAndContractsInterleave) {
     for (std::thread& t : drivers) t.join();
     EXPECT_EQ(failures, 0);
 
-    std::uint64_t sessions_opened = 0, sessions_closed = 0;
+    double sessions_opened = 0, sessions_closed = 0;
     for (const ServeRankMetrics& r : router.gather_metrics()) {
-      sessions_opened += r.sessions_opened;
-      sessions_closed += r.sessions_closed;
+      sessions_opened += r.value("bstc_sessions_opened_total");
+      sessions_closed += r.value("bstc_sessions_closed_total");
     }
     EXPECT_EQ(sessions_opened, 2u);
     EXPECT_EQ(sessions_closed, 2u);

@@ -194,11 +194,11 @@ TEST(ServeDistributed, RepeatFingerprintsHitOwningRankPlanCache) {
   // nobody else ever saw that fingerprint.
   const std::vector<ServeRankMetrics> ranks = mesh.router->gather_metrics();
   ASSERT_EQ(ranks.size(), static_cast<std::size_t>(Mesh::kRanks));
-  std::uint64_t total_hits = 0, total_misses = 0, total_completed = 0;
+  double total_hits = 0, total_misses = 0, total_completed = 0;
   for (const ServeRankMetrics& r : ranks) {
-    total_hits += r.plan_hits;
-    total_misses += r.plan_misses;
-    total_completed += r.completed;
+    total_hits += r.value("bstc_plan_cache_hits_total");
+    total_misses += r.value("bstc_plan_cache_misses_total");
+    total_completed += r.value("bstc_service_completed_total");
     EXPECT_FALSE(r.prometheus.empty());
     // Rank labels make the per-rank exposition aggregatable.
     EXPECT_NE(r.prometheus.find("{rank=\"" + std::to_string(r.rank) + "\"}"),
@@ -239,11 +239,13 @@ TEST(ServeDistributed, SessionStaysWarmOnOwningRank) {
   }
 
   const std::vector<ServeRankMetrics> ranks = mesh.router->gather_metrics();
-  std::uint64_t sessions = 0, iterations = 0;
+  double sessions = 0, iterations = 0;
   for (const ServeRankMetrics& r : ranks) {
-    sessions += r.sessions_opened;
-    iterations += r.iterations;
-    if (r.rank != owner) EXPECT_EQ(r.iterations, 0u);
+    sessions += r.value("bstc_sessions_opened_total");
+    iterations += r.value("bstc_session_iterations_total");
+    if (r.rank != owner) {
+      EXPECT_EQ(r.value("bstc_session_iterations_total"), 0u);
+    }
   }
   EXPECT_EQ(sessions, 1u);
   EXPECT_EQ(iterations, 4u);

@@ -201,11 +201,12 @@ TEST(ShmServeDistributed, SharedStoreComputesBitwiseSameCWithZeroGeneration) {
   const std::vector<ServeRankMetrics> ranks = mesh.router->gather_metrics();
   ASSERT_EQ(ranks.size(), static_cast<std::size_t>(ShmMesh::kRanks));
   for (const ServeRankMetrics& r : ranks) {
-    EXPECT_EQ(r.b_tiles_generated, 0u) << "rank " << r.rank;
-    EXPECT_GE(r.shm_attaches, 1u) << "rank " << r.rank;
-    EXPECT_EQ(r.shm_generation, 1u) << "rank " << r.rank;
-    EXPECT_EQ(r.shm_swaps, 0u) << "rank " << r.rank;
-    EXPECT_GT(r.shm_resident_bytes, 0u) << "rank " << r.rank;
+    EXPECT_EQ(r.value("bstc_b_tiles_generated_total"), 0u)
+        << "rank " << r.rank;
+    EXPECT_GE(r.value("bstc_shm_attaches_total"), 1u) << "rank " << r.rank;
+    EXPECT_EQ(r.value("bstc_shm_generation"), 1u) << "rank " << r.rank;
+    EXPECT_EQ(r.value("bstc_shm_swaps_total"), 0u) << "rank " << r.rank;
+    EXPECT_GT(r.value("bstc_shm_resident_bytes"), 0u) << "rank " << r.rank;
     // The per-rank exposition carries the shm series for CI to grep.
     EXPECT_NE(r.prometheus.find("bstc_b_tiles_generated_total{rank=\"" +
                                 std::to_string(r.rank) + "\"} 0"),
@@ -269,14 +270,15 @@ TEST(ShmServeDistributed, HotSwapMidStreamServesEveryRequest) {
   }
 
   const std::vector<ServeRankMetrics> ranks = mesh.router->gather_metrics();
-  std::uint64_t completed = 0, failed = 0;
+  double completed = 0, failed = 0;
   for (const ServeRankMetrics& r : ranks) {
-    completed += r.completed;
-    failed += r.failed;
-    EXPECT_EQ(r.b_tiles_generated, 0u) << "rank " << r.rank;
-    EXPECT_EQ(r.shm_generation, 2u) << "rank " << r.rank;
+    completed += r.value("bstc_service_completed_total");
+    failed += r.value("bstc_service_failed_total");
+    EXPECT_EQ(r.value("bstc_b_tiles_generated_total"), 0u)
+        << "rank " << r.rank;
+    EXPECT_EQ(r.value("bstc_shm_generation"), 2u) << "rank " << r.rank;
     // Every rank swapped exactly once, driven by the doorbell.
-    EXPECT_EQ(r.shm_swaps, 1u) << "rank " << r.rank;
+    EXPECT_EQ(r.value("bstc_shm_swaps_total"), 1u) << "rank " << r.rank;
   }
   EXPECT_EQ(completed, 6u);
   EXPECT_EQ(failed, 0u);
@@ -298,8 +300,10 @@ TEST(ShmServeDistributed, NonStoreSpecsFallBackToGeneratorCaches) {
   ASSERT_EQ(remote.Contract(req, out), ServiceStatus::kOk) << out.error;
 
   const std::vector<ServeRankMetrics> ranks = mesh.router->gather_metrics();
-  std::uint64_t generated = 0;
-  for (const ServeRankMetrics& r : ranks) generated += r.b_tiles_generated;
+  double generated = 0;
+  for (const ServeRankMetrics& r : ranks) {
+    generated += r.value("bstc_b_tiles_generated_total");
+  }
   EXPECT_GT(generated, 0u);  // the fallback did the work
 }
 

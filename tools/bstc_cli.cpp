@@ -133,7 +133,8 @@ const CommandInfo kCommands[] = {
      "                       BSTC_BCAST env var, else auto)\n"
      "  --shm-bcast          serve co-located ranks via shared-memory\n"
      "                       staging rings instead of loopback sockets\n"
-     "  --metrics-out F      write per-rank bstc_bcast_* Prometheus lines\n"
+     "  --metrics-out F      write per-rank bstc_wire_* and bstc_bcast_*\n"
+     "                       Prometheus lines\n"
      "  Forks --np workers of this binary, runs the 2D-grid contraction\n"
      "  over TCP, verifies C bitwise against a single-process run, and\n"
      "  checks measured wire bytes against the plan statistics exactly\n"
@@ -184,8 +185,8 @@ const CommandInfo kCommands[] = {
      "                       ranks, iterate the same program over TCP and\n"
      "                       verify the residual bitwise against the\n"
      "                       single-process run\n"
-     "  --metrics-out F.txt  Prometheus text: local bstc_expr_* counters,\n"
-     "                       plus per-rank sections in distributed mode\n"},
+     "  --metrics-out F.txt  Prometheus text: the local service exposition,\n"
+     "                       or per-rank sections in distributed mode\n"},
     {"serve-worker", "join a distributed serve-batch (spawned by it)",
      "usage: bstc_cli serve-worker --host H --port P [options]\n"
      "  Normally started by `bstc_cli serve-batch --ranks N`, not by\n"
@@ -695,7 +696,8 @@ int cmd_launch(const Args& args) {
     std::ofstream out(metrics_out);
     BSTC_REQUIRE(out.good(), "launch: cannot write " + metrics_out);
     for (const net::SummaryMsg& s : report.summaries) out << s.metrics_text;
-    std::printf("metrics        %s (bstc_bcast_* for %d ranks)\n",
+    std::printf("metrics        %s (bstc_wire_*, bstc_bcast_* for %d "
+                "ranks)\n",
                 metrics_out.c_str(), opts.spec.np);
   }
   if (!opts.trace_out.empty()) {
@@ -898,6 +900,25 @@ void report_workloads(
                    std::to_string(w->cache_hits), fmt_duration(w->inspect_s),
                    fmt_duration(w->execute_s / n),
                    fmt_duration(w->wait_s / n)});
+  }
+  std::printf("%s\n", table.render().c_str());
+}
+
+/// One row per gathered rank; each column is a (title, series) read from
+/// the rank's exposition text.
+void report_ranks(
+    const std::vector<net::ServeRankMetrics>& ranks,
+    const std::vector<std::pair<std::string, std::string>>& columns) {
+  std::vector<std::string> header = {"rank"};
+  for (const auto& column : columns) header.push_back(column.first);
+  TextTable table(header);
+  for (const net::ServeRankMetrics& r : ranks) {
+    std::vector<std::string> row = {std::to_string(r.rank)};
+    for (const auto& column : columns) {
+      row.push_back(
+          std::to_string(static_cast<std::uint64_t>(r.value(column.second))));
+    }
+    table.add_row(row);
   }
   std::printf("%s\n", table.render().c_str());
 }
@@ -1169,16 +1190,13 @@ int cmd_serve_batch(const Args& args) {
 
     const std::vector<net::ServeRankMetrics> per_rank =
         router.gather_metrics();
-    TextTable rank_table({"rank", "submitted", "completed", "failed",
-                          "plan hits", "plan misses", "sessions", "iters"});
-    for (const net::ServeRankMetrics& r : per_rank) {
-      rank_table.add_row(
-          {std::to_string(r.rank), std::to_string(r.submitted),
-           std::to_string(r.completed), std::to_string(r.failed),
-           std::to_string(r.plan_hits), std::to_string(r.plan_misses),
-           std::to_string(r.sessions_opened), std::to_string(r.iterations)});
-    }
-    std::printf("%s\n", rank_table.render().c_str());
+    report_ranks(per_rank, {{"submitted", "bstc_service_submitted_total"},
+                            {"completed", "bstc_service_completed_total"},
+                            {"failed", "bstc_service_failed_total"},
+                            {"plan hits", "bstc_plan_cache_hits_total"},
+                            {"plan misses", "bstc_plan_cache_misses_total"},
+                            {"sessions", "bstc_sessions_opened_total"},
+                            {"iters", "bstc_session_iterations_total"}});
     const net::ServeRouterStats rs = router.stats();
     std::printf("router         %llu routed, %llu rejected, %llu affinity "
                 "hits, %llu lost, %zu/%d workers live\n",
@@ -1433,19 +1451,14 @@ int cmd_program_run(const Args& args) {
 
   const std::vector<net::ServeRankMetrics> per_rank =
       router.gather_metrics();
-  TextTable rank_table({"rank", "programs", "nodes", "built", "reuse",
-                        "released", "sessions", "plan misses"});
-  for (const net::ServeRankMetrics& r : per_rank) {
-    rank_table.add_row({std::to_string(r.rank),
-                        std::to_string(r.expr_programs),
-                        std::to_string(r.expr_nodes),
-                        std::to_string(r.expr_intermediates_built),
-                        std::to_string(r.expr_intermediate_reuse),
-                        std::to_string(r.expr_intermediates_released),
-                        std::to_string(r.sessions_opened),
-                        std::to_string(r.plan_misses)});
-  }
-  std::printf("%s\n", rank_table.render().c_str());
+  report_ranks(per_rank,
+               {{"programs", "bstc_expr_programs_total"},
+                {"nodes", "bstc_expr_nodes_total"},
+                {"built", "bstc_expr_intermediates_built_total"},
+                {"reuse", "bstc_expr_intermediate_reuse_total"},
+                {"released", "bstc_expr_intermediates_released_total"},
+                {"sessions", "bstc_sessions_opened_total"},
+                {"plan misses", "bstc_plan_cache_misses_total"}});
 
   if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
