@@ -61,6 +61,14 @@ inline std::vector<int> fig7_gpu_counts() {
   return {3, 6, 12, 24, 48, 96, 108};
 }
 
+/// "(text)": a paper reference value beside ours. Appended in place;
+/// `"(" + std::string&&` trips GCC 12's -Wrestrict false positive.
+inline std::string parenthesized(const std::string& text) {
+  std::string out = "(";
+  out.append(text).append(")");
+  return out;
+}
+
 /// Print a table with a headline and its CSV form.
 inline void print_table(const std::string& title, const TextTable& table) {
   std::printf("== %s ==\n%s\n", title.c_str(), table.render().c_str());

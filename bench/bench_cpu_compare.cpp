@@ -37,7 +37,7 @@ int main() {
     const SimResult gpu =
         simulate_contraction(v3.t, v3.v, v3.r, machine, plan_cfg);
     table.add_row({std::to_string(nodes), fmt_fixed(cpu.time_s, 0),
-                   "(" + fmt_fixed(paper_cpu[idx], 0) + ")",
+                   parenthesized(fmt_fixed(paper_cpu[idx], 0)),
                    fmt_fixed(gpu.makespan_s, 1),
                    fmt_fixed(cpu.time_s / gpu.makespan_s, 1) + "x"});
     ++idx;

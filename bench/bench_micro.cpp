@@ -1,17 +1,20 @@
 /// google-benchmark micro-benchmarks for the library's hot paths: the
-/// CPU GEMM kernel, shape algebra (the inspector's dominant cost) and the
-/// three inspector phases.
+/// CPU GEMM kernel, shape algebra (the inspector's dominant cost), the
+/// three inspector phases and the bulk-byte hash.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "plan/builder.hpp"
 #include "plan/column_assignment.hpp"
 #include "runtime/compute_pool.hpp"
 #include "runtime/scheduler.hpp"
+#include "service/fingerprint.hpp"
 #include "shape/shape_algebra.hpp"
+#include "support/hash.hpp"
 #include "tile/gemm.hpp"
 
 namespace bstc {
@@ -210,6 +213,40 @@ BENCHMARK(BM_GemmBatchSplit)
       }
     })
     ->UseRealTime();
+
+/// Bulk-byte hashing at 4 KiB, 64 KiB and 1 MiB: XXH64 (hash64, the
+/// checksum of wire frames, served C digests, shm payloads and the tune
+/// cache) next to byte-serial FNV-1a (fnv1a64, kept for short identity
+/// keys), both reported in bytes/s.
+std::vector<char> hash_input(std::size_t bytes) {
+  Rng rng(5);
+  std::vector<char> buf(bytes);
+  for (char& ch : buf) ch = static_cast<char>(rng.uniform_int(0, 255));
+  return buf;
+}
+
+void BM_Hash64(benchmark::State& state) {
+  const std::vector<char> buf =
+      hash_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash64(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Hash64)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+void BM_Fnv1aBytes(benchmark::State& state) {
+  const std::vector<char> buf =
+      hash_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fnv1a64(std::string_view(buf.data(), buf.size())));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Fnv1aBytes)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_FullInspector(benchmark::State& state) {
   const ShapePair s =

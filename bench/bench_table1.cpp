@@ -50,7 +50,7 @@ int main() {
     std::vector<std::string> cells{name};
     for (int i = 0; i < 3; ++i) {
       cells.push_back(get_ours(tr[i]));
-      cells.push_back("(" + get_paper(paper[i]) + ")");
+      cells.push_back(parenthesized(get_paper(paper[i])));
     }
     table.add_row(std::move(cells));
   };

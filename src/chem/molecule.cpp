@@ -171,8 +171,8 @@ std::string Molecule::formula() const {
   std::string out;
   const int c = count(Element::kC);
   const int h = count(Element::kH);
-  if (c > 0) out += "C" + std::to_string(c);
-  if (h > 0) out += "H" + std::to_string(h);
+  if (c > 0) out.append("C").append(std::to_string(c));
+  if (h > 0) out.append("H").append(std::to_string(h));
   return out;
 }
 

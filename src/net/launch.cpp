@@ -201,6 +201,9 @@ std::vector<std::string> spec_to_flags(const NetProblemSpec& spec) {
 int run_worker(const WorkerOptions& opts) {
   WireCounters& counters = global_wire_counters();
   obs::Registry& reg = obs::Registry::instance();
+  // A forked worker inherits its parent's registry; this rank's spans and
+  // metrics start from zero.
+  reg.clear();
   if (!opts.trace_out.empty()) reg.set_enabled(true);
   const std::uint32_t main_lane = obs::thread_lane();
   if (reg.enabled()) reg.name_lane(main_lane, "main");

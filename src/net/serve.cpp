@@ -144,6 +144,9 @@ double ServeRankMetrics::value(std::string_view series) const {
 // Worker side.
 
 int run_serve_worker(const ServeWorkerOptions& opts) {
+  // A forked worker inherits its parent's registry; this rank's metrics
+  // start from zero.
+  obs::Registry::instance().clear();
   WireCounters& ctr = global_wire_counters();
   Socket sock = connect_with_retry(opts.host, opts.port, opts.retry, &ctr);
   HelloMsg hello;

@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include "support/hash.hpp"
+
 namespace bstc::net {
 
 const char* frame_type_name(FrameType type) {
@@ -28,12 +30,7 @@ const char* frame_type_name(FrameType type) {
 }
 
 std::uint64_t wire_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return hash64(data, size);
 }
 
 namespace {

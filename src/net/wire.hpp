@@ -13,7 +13,7 @@
 ///   6       2     reserved flags (must be 0)
 ///   8       4     payload length, little-endian
 ///   12      len   payload
-///   12+len  8     FNV-1a 64 checksum of header + payload, little-endian
+///   12+len  8     XXH64 (seed 0) of header + payload, little-endian
 ///
 /// The checksum covers the header too, so a flipped type or length byte is
 /// rejected, not just payload corruption. Payloads are packed little-endian
@@ -48,7 +48,10 @@ inline constexpr std::uint32_t kWireMagic = 0x42535443u;  // "BSTC"
 /// intra-/inter-node A-volume split.
 /// v3: requests carry a program name (kProgramRun); responses carry the
 /// program DAG accounting triple (nodes, intermediates, reuse).
-inline constexpr std::uint8_t kWireVersion = 3;
+/// v4: the checksum field is XXH64 (support/hash) instead of byte-serial
+/// FNV-1a; frame layout and sizes are unchanged, so an older peer is
+/// refused by this version byte rather than by a checksum mismatch.
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kWireHeaderBytes = 12;
 inline constexpr std::size_t kWireChecksumBytes = 8;
 /// Upper bound on one payload: a guard against a corrupted length field
@@ -86,7 +89,7 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// FNV-1a 64 over a byte range (the frame checksum).
+/// XXH64 over a byte range (the frame checksum).
 std::uint64_t wire_checksum(const std::uint8_t* data, std::size_t size);
 
 /// Encode a frame into its on-wire bytes.

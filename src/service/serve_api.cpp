@@ -5,6 +5,7 @@
 #include "service/fingerprint.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace bstc {
@@ -84,9 +85,7 @@ std::uint64_t audit_serve_spec_determinism(const ServeProblemSpec& spec) {
                                reinterpret_cast<const char*>(t2.data()),
                                t2.bytes()),
                "serve audit: generated B tiles differ across expansion");
-      h = fnv1a64(std::string_view(reinterpret_cast<const char*>(t1.data()),
-                                   t1.bytes()),
-                  h);
+      h = hash64(t1.data(), t1.bytes(), h);
       ++sampled;
     }
   }
@@ -148,7 +147,7 @@ BlockSparseMatrix build_serve_a(const BuiltServeProblem& built,
 }
 
 std::uint64_t bsm_content_checksum(const BlockSparseMatrix& m) {
-  std::uint64_t h = fnv1a64("bstc-bsm-v1");
+  std::uint64_t h = fnv1a64("bstc-bsm-v2");
   const Shape& s = m.shape();
   for (std::size_t i = 0; i < s.tile_rows(); ++i) {
     for (std::size_t j = 0; j < s.tile_cols(); ++j) {
@@ -157,9 +156,7 @@ std::uint64_t bsm_content_checksum(const BlockSparseMatrix& m) {
       h = fnv1a64_u64((static_cast<std::uint64_t>(i) << 32) | j, h);
       h = fnv1a64_u64(static_cast<std::uint64_t>(t.rows()), h);
       h = fnv1a64_u64(static_cast<std::uint64_t>(t.cols()), h);
-      h = fnv1a64(std::string_view(reinterpret_cast<const char*>(t.data()),
-                                   t.bytes()),
-                  h);
+      h = hash64(t.data(), t.bytes(), h);
     }
   }
   return h;

@@ -108,8 +108,11 @@ BuiltServeProblem build_serve_problem(const ServeProblemSpec& spec);
 BlockSparseMatrix build_serve_a(const BuiltServeProblem& built,
                                 std::uint64_t a_seed);
 
-/// FNV-1a 64 over every nonzero tile's raw bytes in row-major tile order
-/// (extents folded in) — a bitwise identity witness for a result matrix.
+/// Content digest v2 — a bitwise identity witness for a result matrix.
+/// Starts from fnv1a64("bstc-bsm-v2"); for each nonzero tile in row-major
+/// tile order it folds (i, j, rows, cols) in with FNV-1a, then chains
+/// hash64 (XXH64) over the tile's raw bytes seeded with the running state.
+/// It depends on every payload bit, on tile order and on extents.
 std::uint64_t bsm_content_checksum(const BlockSparseMatrix& m);
 
 /// One request at the serving boundary.

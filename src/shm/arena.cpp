@@ -13,6 +13,7 @@
 #include "obs/obs.hpp"
 #include "service/fingerprint.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace bstc::shm {
 namespace {
@@ -31,11 +32,6 @@ void resident_sub(std::size_t bytes) {
   const std::size_t now = g_resident_bytes.fetch_sub(bytes) - bytes;
   obs::Registry::instance().gauge_set("bstc_shm_resident_bytes",
                                       static_cast<std::int64_t>(now));
-}
-
-std::uint64_t checksum_bytes(const void* data, std::size_t size) {
-  return fnv1a64(
-      std::string_view(static_cast<const char*>(data), size));
 }
 
 /// FNV-1a over every header field above header_checksum itself.
@@ -193,9 +189,9 @@ Status ShmArena::attach(const std::string& name, ShmArena& out,
     verdict = Status::Fail("shm: used-bytes out of range in segment '" +
                            name + "'");
   } else if (header.payload_checksum !=
-             checksum_bytes(
-                 static_cast<const std::uint8_t*>(base) + sizeof(ArenaHeader),
-                 header.used_bytes - sizeof(ArenaHeader))) {
+             hash64(static_cast<const std::uint8_t*>(base) +
+                        sizeof(ArenaHeader),
+                    header.used_bytes - sizeof(ArenaHeader))) {
     verdict = Status::Fail("shm: payload checksum mismatch in segment '" +
                            name + "'");
   } else if (expected_fingerprint != 0 &&
@@ -294,7 +290,7 @@ Status ShmArena::seal(std::uint64_t fingerprint, std::uint64_t generation) {
   h.fingerprint = fingerprint;
   h.generation = generation;
   h.payload_checksum =
-      checksum_bytes(base_ + sizeof(ArenaHeader), bump_ - sizeof(ArenaHeader));
+      hash64(base_ + sizeof(ArenaHeader), bump_ - sizeof(ArenaHeader));
   h.header_checksum = header_checksum_of(h);
   std::memcpy(base_, &h, sizeof h);
   if (::msync(base_, capacity_, MS_SYNC) != 0) {

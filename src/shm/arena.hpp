@@ -8,12 +8,13 @@
 /// (OSRM's contiguous block allocator idiom): a writer creates a segment
 /// under /dev/shm, packs data through alloc()/at(), then seal()s it —
 /// writing a header carrying a magic, the layout version, the content
-/// fingerprint, a generation id, and FNV-1a checksums of both the header
-/// fields and the payload — and remaps it read-only. Readers attach()
-/// read-only and validate everything before serving a single byte:
-/// a truncated segment, a bad magic, a wrong layout version, an unsealed
-/// or size-inconsistent header, a checksum mismatch or a fingerprint
-/// mismatch each yields a clean Status error with no partial attach.
+/// fingerprint, a generation id, an XXH64 checksum of the payload and an
+/// FNV-1a checksum of the header fields — and remaps it read-only.
+/// Readers attach() read-only and validate everything before serving a
+/// single byte: a truncated segment, a bad magic, a wrong layout version,
+/// an unsealed or size-inconsistent header, a checksum mismatch or a
+/// fingerprint mismatch each yields a clean Status error with no partial
+/// attach.
 ///
 /// Offsets, not pointers, are the currency: every process maps the
 /// segment at a different address, so consumers address content as
@@ -41,7 +42,8 @@ struct Status {
 };
 
 inline constexpr std::uint64_t kArenaMagic = 0x42535443414e4131ull;  // BSTCANA1
-inline constexpr std::uint32_t kArenaLayoutVersion = 1;
+/// v2: the payload checksum is XXH64 (support/hash), not FNV-1a.
+inline constexpr std::uint32_t kArenaLayoutVersion = 2;
 /// Payload alignment of every alloc() (cache line; also double-safe).
 inline constexpr std::size_t kArenaAlign = 64;
 
@@ -54,7 +56,7 @@ struct ArenaHeader {
   std::uint64_t used_bytes = 0;   ///< allocator high-water mark
   std::uint64_t fingerprint = 0;  ///< content identity (caller-defined)
   std::uint64_t generation = 0;   ///< dataset generation id
-  std::uint64_t payload_checksum = 0;  ///< FNV-1a of [header end, used)
+  std::uint64_t payload_checksum = 0;  ///< XXH64 of [header end, used)
   std::uint64_t header_checksum = 0;   ///< FNV-1a of the fields above
 };
 static_assert(sizeof(ArenaHeader) == 64, "arena header layout is sealed");

@@ -11,10 +11,12 @@
 #include <fstream>
 #include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "tile/cpu_features.hpp"
 #include "tile/gemm.hpp"
@@ -42,16 +44,6 @@ double now_seconds() {
 }
 
 }  // namespace
-
-std::uint64_t tune_fnv1a64(const void* data, std::size_t bytes,
-                           std::uint64_t state) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    state ^= p[i];
-    state *= 0x100000001b3ull;
-  }
-  return state;
-}
 
 Autotuner::Autotuner() = default;
 
@@ -181,11 +173,11 @@ const MicroKernel* Autotuner::benchmark_bucket(Index m, Index k, Index n) {
   const Index bk = std::min(k, kBenchMaxExtent);
   const Index bn = std::min(n, kBenchMaxExtent);
 
-  char span_name[64];
-  std::snprintf(span_name, sizeof span_name, "tune(%lld,%lld,%lld)",
-                static_cast<long long>(bm), static_cast<long long>(bk),
-                static_cast<long long>(bn));
-  obs::ScopedSpan span(obs::Category::kTune, span_name);
+  std::string span_name = "tune(";
+  span_name.append(std::to_string(bm)).append(",");
+  span_name.append(std::to_string(bk)).append(",");
+  span_name.append(std::to_string(bn)).append(")");
+  obs::ScopedSpan span(obs::Category::kTune, std::move(span_name));
 
   // Synthetic operands, deterministic per bucket. C is written with
   // beta=0 each rep, so one buffer serves every candidate.
@@ -260,12 +252,12 @@ std::vector<std::pair<std::string, std::size_t>> Autotuner::active_kernels()
 std::uint64_t Autotuner::cpu_signature() const {
   // Identity of the selection domain: a cache is only meaningful on a
   // host that dispatches the same ISA and ships the same candidate set.
-  std::uint64_t sig = tune_fnv1a64(&kTuneCacheLayoutVersion,
-                                   sizeof kTuneCacheLayoutVersion);
+  std::uint64_t sig =
+      hash64(&kTuneCacheLayoutVersion, sizeof kTuneCacheLayoutVersion);
   const char* isa = kernel_isa_name(active_kernel_isa());
-  sig = tune_fnv1a64(isa, std::strlen(isa), sig);
+  sig = hash64(isa, std::strlen(isa), sig);
   for (const MicroKernel& mk : microkernels_for_isa(active_kernel_isa())) {
-    sig = tune_fnv1a64(mk.name.data(), mk.name.size(), sig);
+    sig = hash64(mk.name.data(), mk.name.size(), sig);
   }
   return sig;
 }
@@ -287,8 +279,8 @@ shm::Status Autotuner::load_cache(const std::string& path) {
   if (hdr.layout_version != kTuneCacheLayoutVersion) {
     return shm::Status::Fail("tune cache: layout version mismatch");
   }
-  const std::uint64_t want_hdr = tune_fnv1a64(
-      &hdr, offsetof(TuneCacheHeader, header_checksum));
+  const std::uint64_t want_hdr =
+      hash64(&hdr, offsetof(TuneCacheHeader, header_checksum));
   if (hdr.header_checksum != want_hdr) {
     return shm::Status::Fail("tune cache: header checksum mismatch");
   }
@@ -298,7 +290,7 @@ shm::Status Autotuner::load_cache(const std::string& path) {
     return shm::Status::Fail("tune cache: payload size mismatch");
   }
   const std::uint64_t want_payload =
-      tune_fnv1a64(bytes.data() + sizeof hdr, payload_bytes);
+      hash64(bytes.data() + sizeof hdr, payload_bytes);
   if (hdr.payload_checksum != want_payload) {
     return shm::Status::Fail("tune cache: payload checksum mismatch");
   }
@@ -352,10 +344,10 @@ shm::Status Autotuner::save_cache(const std::string& path) const {
   hdr.layout_version = kTuneCacheLayoutVersion;
   hdr.entry_count = static_cast<std::uint32_t>(entries.size());
   hdr.cpu_signature = cpu_signature();
-  hdr.payload_checksum = tune_fnv1a64(
-      entries.data(), entries.size() * sizeof(TuneCacheEntry));
+  hdr.payload_checksum =
+      hash64(entries.data(), entries.size() * sizeof(TuneCacheEntry));
   hdr.header_checksum =
-      tune_fnv1a64(&hdr, offsetof(TuneCacheHeader, header_checksum));
+      hash64(&hdr, offsetof(TuneCacheHeader, header_checksum));
 
   // Atomic publish: write a sibling temp file, then rename over the
   // target. Co-located serve workers racing here each land a complete

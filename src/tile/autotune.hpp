@@ -15,7 +15,7 @@
 ///
 /// Winners persist to an on-disk tuning cache (`BSTC_TUNE_CACHE=path`)
 /// keyed by a CPU signature (active ISA + candidate kernel set), with the
-/// same FNV-checksummed-header discipline as shm/arena: magic, layout
+/// same checksummed-header discipline as shm/arena: magic, layout
 /// version, header and payload checksums all validated before a single
 /// entry is trusted, and a wrong CPU signature rejects the file. The
 /// cache is reloaded across runs and shared by co-located serve workers
@@ -56,7 +56,9 @@ struct TuneStats {
 };
 
 inline constexpr std::uint64_t kTuneCacheMagic = 0x4253544354554e31ull;  // BSTCTUN1
-inline constexpr std::uint32_t kTuneCacheLayoutVersion = 1;
+/// v2: the signature, header and payload checksums are XXH64
+/// (support/hash), not FNV-1a.
+inline constexpr std::uint32_t kTuneCacheLayoutVersion = 2;
 
 /// The checksummed header at offset 0 of a tuning-cache file (same
 /// discipline as shm::ArenaHeader; sealed 64-byte layout).
@@ -68,8 +70,8 @@ struct TuneCacheHeader {
   std::uint64_t reserved0 = 0;
   std::uint64_t reserved1 = 0;
   std::uint64_t reserved2 = 0;
-  std::uint64_t payload_checksum = 0;  ///< FNV-1a of the entry array
-  std::uint64_t header_checksum = 0;   ///< FNV-1a of the fields above
+  std::uint64_t payload_checksum = 0;  ///< XXH64 of the entry array
+  std::uint64_t header_checksum = 0;   ///< XXH64 of the fields above
 };
 static_assert(sizeof(TuneCacheHeader) == 64, "tune cache header is sealed");
 
@@ -82,11 +84,6 @@ struct TuneCacheEntry {
   char kernel[32] = {};
 };
 static_assert(sizeof(TuneCacheEntry) == 48, "tune cache entry is sealed");
-
-/// FNV-1a 64 over raw bytes (the cache checksum primitive; exposed so
-/// tests can forge headers).
-std::uint64_t tune_fnv1a64(const void* data, std::size_t bytes,
-                           std::uint64_t state = 0xcbf29ce484222325ull);
 
 /// The process-wide selection table. All methods are thread-safe; a
 /// bucket's first select() benchmarks OUTSIDE the table lock under a

@@ -1,4 +1,4 @@
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -11,10 +11,10 @@ namespace {
 /// derived from the (isa, geometry) fields — never hand-written — so a
 /// kernel's reported identity cannot drift from what actually runs.
 std::string kernel_name(KernelIsa isa, const KernelGeometry& g) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%s-%lldx%lld", kernel_isa_name(isa),
-                static_cast<long long>(g.mr), static_cast<long long>(g.nr));
-  return buf;
+  std::string name = kernel_isa_name(isa);
+  name.append("-").append(std::to_string(g.mr));
+  name.append("x").append(std::to_string(g.nr));
+  return name;
 }
 
 struct Zoo {

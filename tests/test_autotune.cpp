@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "tile/autotune.hpp"
 #include "tile/cpu_features.hpp"
 #include "tile/microkernel.hpp"
@@ -284,7 +285,7 @@ TEST(Autotune, CacheRejectsWrongCpuSignature) {
   ASSERT_EQ(hdr.cpu_signature, writer.cpu_signature());
   hdr.cpu_signature ^= 0xdeadbeefull;
   hdr.header_checksum =
-      tune_fnv1a64(&hdr, offsetof(TuneCacheHeader, header_checksum));
+      hash64(&hdr, offsetof(TuneCacheHeader, header_checksum));
   std::memcpy(bytes.data(), &hdr, sizeof hdr);
   write_file(path, bytes);
 
@@ -312,11 +313,11 @@ TEST(Autotune, CacheRejectsUnknownKernelNames) {
 
   TuneCacheHeader hdr;
   std::memcpy(&hdr, bytes.data(), sizeof hdr);
-  hdr.payload_checksum = tune_fnv1a64(
+  hdr.payload_checksum = hash64(
       bytes.data() + sizeof hdr,
       static_cast<std::size_t>(hdr.entry_count) * sizeof(TuneCacheEntry));
   hdr.header_checksum =
-      tune_fnv1a64(&hdr, offsetof(TuneCacheHeader, header_checksum));
+      hash64(&hdr, offsetof(TuneCacheHeader, header_checksum));
   std::memcpy(bytes.data(), &hdr, sizeof hdr);
   write_file(path, bytes);
 

@@ -222,7 +222,9 @@ TEST(GemmKernels, DispatchReportsAKernel) {
   EXPECT_NE(active_microkernel(), nullptr);
   EXPECT_NE(scalar_microkernel(), nullptr);
   const KernelIsa isa = active_kernel_isa();
-  if (isa >= KernelIsa::kAvx2) EXPECT_NE(avx2_microkernel(), nullptr);
+  if (isa >= KernelIsa::kAvx2) {
+    EXPECT_NE(avx2_microkernel(), nullptr);
+  }
   const std::string expected =
       std::string(kernel_isa_name(isa)) + "-8x4";
   EXPECT_EQ(gemm_kernel_name(), expected);

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/scheduler.hpp"
@@ -25,7 +27,9 @@ struct RandomDag {
     Rng rng(seed);
     for (std::size_t t = 0; t < tasks; ++t) {
       const auto queue = static_cast<std::uint32_t>(rng.uniform_index(queues));
-      graph.add_task("t" + std::to_string(t), queue, [this, t] {
+      std::string name = "t";
+      name.append(std::to_string(t));
+      graph.add_task(std::move(name), queue, [this, t] {
         finish_order[t] = ++counter;
       });
     }

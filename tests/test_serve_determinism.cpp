@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "bsm/block_sparse_matrix.hpp"
 #include "expr/executor.hpp"
 #include "service/serve_api.hpp"
+#include "support/rng.hpp"
 
 namespace bstc {
 namespace {
@@ -136,6 +140,80 @@ TEST(ServeDeterminism, StoreFingerprintIgnoresMachineKnobs) {
   ServeProblemSpec reseeded = audit_spec();
   reseeded.seed += 1;
   EXPECT_NE(serve_store_fingerprint(reseeded), store);
+}
+
+// ---------------------------------------------------------------------------
+// bsm_content_checksum (digest v2): every payload bit, tile order and
+// extents are part of the witness.
+
+BlockSparseMatrix digest_matrix() {
+  Rng rng(77);
+  const Tiling rows = Tiling::from_extents(std::vector<Index>{3, 5, 4});
+  const Tiling cols = Tiling::from_extents(std::vector<Index>{6, 2, 7});
+  return BlockSparseMatrix::random(Shape::dense(rows, cols), rng);
+}
+
+void flip_bit(Tile& t, std::size_t elem, int bit) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, t.data() + elem, sizeof word);
+  word ^= std::uint64_t{1} << bit;
+  std::memcpy(t.data() + elem, &word, sizeof word);
+}
+
+TEST(ServeDeterminism, DigestSeesEveryBitOfFirstAndLastTile) {
+  const BlockSparseMatrix m = digest_matrix();
+  const std::uint64_t base = bsm_content_checksum(m);
+  const Shape& s = m.shape();
+  const std::size_t last_r = s.tile_rows() - 1;
+  const std::size_t last_c = s.tile_cols() - 1;
+  for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{0, 0},
+                             std::pair<std::size_t, std::size_t>{last_r,
+                                                                 last_c}}) {
+    const auto elems = static_cast<std::size_t>(m.tile(r, c).size());
+    for (const std::size_t elem : {std::size_t{0}, elems / 2, elems - 1}) {
+      for (int bit = 0; bit < 64; ++bit) {
+        BlockSparseMatrix flipped = m;
+        flip_bit(flipped.tile(r, c), elem, bit);
+        EXPECT_NE(bsm_content_checksum(flipped), base)
+            << "tile (" << r << "," << c << ") elem " << elem << " bit "
+            << bit;
+      }
+    }
+  }
+}
+
+TEST(ServeDeterminism, DigestSeesTileOrder) {
+  // Two tiles of equal extents trade payloads: same multiset of bytes,
+  // different matrix.
+  const Tiling rows = Tiling::uniform(8, 4);
+  const Tiling cols = Tiling::uniform(4, 4);
+  Rng rng(3);
+  const BlockSparseMatrix m =
+      BlockSparseMatrix::random(Shape::dense(rows, cols), rng);
+  BlockSparseMatrix swapped = m;
+  swapped.tile(0, 0) = m.tile(1, 0);
+  swapped.tile(1, 0) = m.tile(0, 0);
+  ASSERT_GT(swapped.max_abs_diff(m), 0.0);
+  EXPECT_NE(bsm_content_checksum(swapped), bsm_content_checksum(m));
+}
+
+TEST(ServeDeterminism, DigestSeesExtents) {
+  // The same six doubles as one 2x3 tile and as one 3x2 tile.
+  const double values[6] = {1.5, -2.0, 3.25, 0.5, 8.0, -1.0};
+  BlockSparseMatrix wide(
+      Shape::dense(Tiling::uniform(2, 2), Tiling::uniform(3, 3)));
+  BlockSparseMatrix tall(
+      Shape::dense(Tiling::uniform(3, 3), Tiling::uniform(2, 2)));
+  std::memcpy(wide.tile(0, 0).data(), values, sizeof values);
+  std::memcpy(tall.tile(0, 0).data(), values, sizeof values);
+  EXPECT_NE(bsm_content_checksum(wide), bsm_content_checksum(tall));
+}
+
+TEST(ServeDeterminism, DigestIsEqualForEqualMatrices) {
+  const BlockSparseMatrix m = digest_matrix();
+  const BlockSparseMatrix copy = m;
+  EXPECT_EQ(bsm_content_checksum(copy), bsm_content_checksum(m));
+  EXPECT_EQ(bsm_content_checksum(digest_matrix()), bsm_content_checksum(m));
 }
 
 }  // namespace

@@ -125,6 +125,35 @@ TEST(Wire, CorruptedBytesAreRejected) {
   }
 }
 
+TEST(Wire, EveryBitFlipOfASmallFrameIsRejected) {
+  const std::vector<std::uint8_t> good =
+      encode_frame(encode_count(FrameType::kCDone, 0x0102030405060708ull));
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::vector<std::uint8_t> bad = good;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_THROW(decode_frame(bad), Error) << "bit " << bit;
+  }
+}
+
+TEST(Wire, OlderProtocolVersionIsRefusedByVersion) {
+  // A frame from a v3 peer (FNV-1a checksum) must be refused for its
+  // version byte, even when its checksum is valid under this build.
+  std::vector<std::uint8_t> old =
+      encode_frame(encode_count(FrameType::kCDone, 1));
+  old[4] = kWireVersion - 1;
+  const std::size_t body = old.size() - kWireChecksumBytes;
+  const std::uint64_t sum = wire_checksum(old.data(), body);
+  std::memcpy(old.data() + body, &sum, sizeof sum);
+  try {
+    decode_frame(old);
+    ADD_FAILURE() << "a v" << int(old[4]) << " frame was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported protocol version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Wire, TruncatedAndTrailingFramesAreRejected) {
   const std::vector<std::uint8_t> good =
       encode_frame(encode_count(FrameType::kGatherDone, 5));

@@ -1027,8 +1027,10 @@ int cmd_store_inspect(const Args& args) {
       for (std::size_t c = 0; c < reader->grid_cols(); ++c) {
         if (!reader->has_tile(r, c)) continue;
         const Tile& t = reader->tile(r, c);
-        tiles.add_row({"(" + std::to_string(r) + "," + std::to_string(c) +
-                           ")",
+        std::string label = "(";
+        label.append(std::to_string(r)).append(",");
+        label.append(std::to_string(c)).append(")");
+        tiles.add_row({label,
                        std::to_string(t.rows()), std::to_string(t.cols()),
                        std::to_string(static_cast<std::size_t>(t.rows()) *
                                       static_cast<std::size_t>(t.cols()) *
