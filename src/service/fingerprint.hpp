@@ -15,10 +15,10 @@
 /// (the same field order as plan/serialize's `config` line), hashed with
 /// FNV-1a 64. Shapes are hashed straight from their packed bitmap words —
 /// fingerprinting is on the cache-hit fast path, so it must cost far less
-/// than the inspection it replaces (a string round-trip through
-/// shape/serialize would rival build_plan itself on large shapes). Both
-/// encodings are pure functions of the structure, so fingerprints are
-/// stable across serialize/deserialize round-trips (tested in
+/// than the inspection it replaces (a text encoding of a large shape
+/// would rival build_plan itself). Both encodings are pure functions of
+/// the structure, so equal shapes and a config that went through
+/// plan/serialize fingerprint identically (tested in
 /// tests/test_service.cpp).
 
 #include <cstdint>

@@ -87,21 +87,4 @@ std::size_t Tiling::tile_of(Index i) const {
   return static_cast<std::size_t>(it - offsets_.begin()) - 1;
 }
 
-std::vector<Index> Tiling::extents() const {
-  std::vector<Index> out(num_tiles());
-  for (std::size_t t = 0; t < num_tiles(); ++t) out[t] = tile_extent(t);
-  return out;
-}
-
-Tiling fuse(const Tiling& a, const Tiling& b) {
-  std::vector<Index> extents;
-  extents.reserve(a.num_tiles() * b.num_tiles());
-  for (std::size_t ta = 0; ta < a.num_tiles(); ++ta) {
-    for (std::size_t tb = 0; tb < b.num_tiles(); ++tb) {
-      extents.push_back(a.tile_extent(ta) * b.tile_extent(tb));
-    }
-  }
-  return Tiling::from_extents(extents);
-}
-
 }  // namespace bstc

@@ -59,9 +59,6 @@ class Tiling {
   /// range.
   std::size_t tile_of(Index i) const;
 
-  /// All tile extents, in order.
-  std::vector<Index> extents() const;
-
   bool operator==(const Tiling& other) const = default;
 
  private:
@@ -69,11 +66,5 @@ class Tiling {
 
   std::vector<Index> offsets_;  // size num_tiles()+1, offsets_[0] == 0
 };
-
-/// Fuse two tilings into the tiling of the row-major-fused index range
-/// (i,j) -> i*b.extent()+j, with one fused tile per (tile_a, tile_b) pair.
-/// This is how a 4-index tensor range (e.g. "cd") is matricized while
-/// preserving block structure (paper §2: "fused indices ij and cd").
-Tiling fuse(const Tiling& a, const Tiling& b);
 
 }  // namespace bstc

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "bsm/block_sparse_matrix.hpp"
+#include "bsm/on_demand_matrix.hpp"
 #include "chem/abcd.hpp"
 #include "chem/abcd3d.hpp"
 #include "chem/molecule.hpp"
 #include "chem/orbitals.hpp"
+#include "core/engine.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/error.hpp"
 
@@ -235,6 +242,83 @@ TEST(Abcd, SmallMoleculeProblemIsExecutable) {
   const AbcdTraits tr = abcd_traits(p);
   EXPECT_GT(tr.flops, 0.0);
   EXPECT_GE(tr.flops, tr.flops_opt);
+}
+
+TEST(Abcd, ChemProblemMatchesDirectSummation) {
+  // The ABCD term the way the product runs it: build_abcd's shapes, V
+  // generated on demand, R screened by r_cutoff, executed by contract().
+  // Every element of R is checked against the plain sum over k of
+  // T(r,k) * V(k,c). The cutoffs are shrunk to the short chain so that T,
+  // V and the R screen are all sparse.
+  AbcdConfig cfg;
+  cfg.occ_clusters = 3;
+  cfg.ao_clusters = 4;
+  cfg.symmetric_pairs = true;
+  cfg.t_cutoff = 2.0;
+  cfg.v_cutoff = 1.5;
+  cfg.r_cutoff = 2.0;
+  const AbcdProblem p = build_abcd(
+      OrbitalSystem::build(Molecule::alkane(4), BasisSet::kSto3g), cfg);
+  ASSERT_LT(p.t.density(), 1.0);
+  ASSERT_LT(p.v.density(), 1.0);
+
+  // R is a strict subset of the closure: the r_cutoff screen drops tiles.
+  const Shape closure = contract_shape(p.t, p.v);
+  for (std::size_t i = 0; i < p.r.tile_rows(); ++i) {
+    for (std::size_t j = 0; j < p.r.tile_cols(); ++j) {
+      if (p.r.nonzero(i, j)) {
+        ASSERT_TRUE(closure.nonzero(i, j));
+      }
+    }
+  }
+  ASSERT_GT(p.r.nnz_tiles(), 0u);
+  ASSERT_LT(p.r.nnz_tiles(), closure.nnz_tiles());
+
+  Rng rng(31);
+  const BlockSparseMatrix a = BlockSparseMatrix::random(p.t, rng);
+  const TileGenerator v_gen = random_tile_generator(p.v, 41);
+  MachineModel machine = MachineModel::summit_gpus(2);
+  machine.node.gpu.memory_bytes = 1e6;
+  const EngineResult res =
+      contract(a, p.v, v_gen, p.r, nullptr, machine, EngineConfig{});
+  ASSERT_EQ(res.c.shape(), p.r);
+
+  // Row-major element copies of T and V, read through at() only.
+  BlockSparseMatrix v(p.v);
+  for (std::size_t r = 0; r < p.v.tile_rows(); ++r) {
+    for (std::size_t c = 0; c < p.v.tile_cols(); ++c) {
+      if (p.v.nonzero(r, c)) v.tile(r, c) = v_gen(r, c);
+    }
+  }
+  const Index m = p.m(), k = p.k(), n = p.n();
+  std::vector<double> t_el(static_cast<std::size_t>(m * k));
+  std::vector<double> v_el(static_cast<std::size_t>(k * n));
+  for (Index r = 0; r < m; ++r) {
+    for (Index x = 0; x < k; ++x) t_el[r * k + x] = a.at(r, x);
+  }
+  for (Index x = 0; x < k; ++x) {
+    for (Index c = 0; c < n; ++c) v_el[x * n + c] = v.at(x, c);
+  }
+
+  const Tiling& rows = p.r.row_tiling();
+  const Tiling& cols = p.r.col_tiling();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < p.r.tile_rows(); ++i) {
+    for (std::size_t j = 0; j < p.r.tile_cols(); ++j) {
+      if (!p.r.nonzero(i, j)) continue;
+      const Index r0 = rows.tile_offset(i), c0 = cols.tile_offset(j);
+      for (Index r = r0; r < r0 + rows.tile_extent(i); ++r) {
+        for (Index c = c0; c < c0 + cols.tile_extent(j); ++c) {
+          double expect = 0.0;
+          for (Index x = 0; x < k; ++x) {
+            expect += t_el[r * k + x] * v_el[x * n + c];
+          }
+          worst = std::max(worst, std::abs(res.c.at(r, c) - expect));
+        }
+      }
+    }
+  }
+  EXPECT_LT(worst, 1e-10);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -99,6 +101,37 @@ TEST(ExprExec, AbcdProgramMatchesReferenceProduct) {
   multiply_reference(a, b, expect);
   EXPECT_LT(res.r.max_abs_diff(expect), 1e-10);
   EXPECT_GT(res.r.norm(), 0.0);
+
+  // An oracle that shares nothing with multiply_reference: every element
+  // of every computed tile against the plain sum over k of A(r,k)*B(k,c).
+  const Index k = a.cols(), n = b.cols();
+  std::vector<double> a_el(static_cast<std::size_t>(a.rows() * k));
+  std::vector<double> b_el(static_cast<std::size_t>(k * n));
+  for (Index r = 0; r < a.rows(); ++r) {
+    for (Index x = 0; x < k; ++x) a_el[r * k + x] = a.at(r, x);
+  }
+  for (Index x = 0; x < k; ++x) {
+    for (Index c = 0; c < n; ++c) b_el[x * n + c] = b.at(x, c);
+  }
+  const Shape& cs = built.c_shape;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < cs.tile_rows(); ++i) {
+    for (std::size_t j = 0; j < cs.tile_cols(); ++j) {
+      if (!cs.nonzero(i, j)) continue;
+      const Index r0 = cs.row_tiling().tile_offset(i);
+      const Index c0 = cs.col_tiling().tile_offset(j);
+      for (Index r = r0; r < r0 + cs.row_tiling().tile_extent(i); ++r) {
+        for (Index c = c0; c < c0 + cs.col_tiling().tile_extent(j); ++c) {
+          double sum = 0.0;
+          for (Index x = 0; x < k; ++x) {
+            sum += a_el[r * k + x] * b_el[x * n + c];
+          }
+          worst = std::max(worst, std::abs(res.r.at(r, c) - sum));
+        }
+      }
+    }
+  }
+  EXPECT_LT(worst, 1e-10);
 }
 
 TEST(ExprExec, OrderAndScheduleSeedsAreBitwiseInvariant) {

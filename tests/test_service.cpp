@@ -19,7 +19,6 @@
 #include "service/contraction_service.hpp"
 #include "service/fingerprint.hpp"
 #include "service/plan_cache.hpp"
-#include "shape/serialize.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/error.hpp"
 
@@ -97,15 +96,16 @@ TEST(Fingerprint, StableAcrossSerializeRoundTrip) {
   const std::uint64_t fp = fingerprint_problem(h.a.shape(), h.b_shape,
                                                h.c_shape, h.machine, cfg);
 
-  // Shapes reconstructed from their serialized form hash identically.
-  const Shape a2 = deserialize_shape(serialize_shape(h.a.shape()));
-  const Shape b2 = deserialize_shape(serialize_shape(h.b_shape));
-  const Shape c2 = deserialize_shape(serialize_shape(h.c_shape));
-  // So does the config of a plan that went through serialize_plan.
+  // Shapes rebuilt independently from the same arguments hash
+  // identically, and so does the config of a plan that went through
+  // serialize_plan.
+  const ServiceHarness h2(60, 200, 240, 0.6, 0.5, 17);
   const ExecutionPlan plan =
       build_plan(h.a.shape(), h.b_shape, h.c_shape, h.machine, cfg);
   const ExecutionPlan plan2 = deserialize_plan(serialize_plan(plan));
-  EXPECT_EQ(fingerprint_problem(a2, b2, c2, h.machine, plan2.config), fp);
+  EXPECT_EQ(fingerprint_problem(h2.a.shape(), h2.b_shape, h2.c_shape,
+                                h2.machine, plan2.config),
+            fp);
   // And the hash is deterministic across processes (fixed constants), so
   // pin one problem-independent component: the empty-input chain state.
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);

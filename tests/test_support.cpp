@@ -1,9 +1,8 @@
-/// Unit tests for the support module (stats, histogram, table, format,
-/// rng, images).
+/// Unit tests for the support module (histogram, table, format, rng,
+/// images).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "support/histogram.hpp"
 #include "support/pgm.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace bstc {
@@ -64,39 +62,6 @@ TEST(Rng, UniformIndexCoversRange) {
   std::vector<int> seen(7, 0);
   for (int i = 0; i < 7000; ++i) ++seen[rng.uniform_index(7)];
   for (int count : seen) EXPECT_GT(count, 0);
-}
-
-TEST(Stats, MeanAndStddev) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(mean(xs), 3.0);
-  EXPECT_NEAR(stddev(xs), std::sqrt(2.5), 1e-12);
-}
-
-TEST(Stats, MeanOfEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev({}), 0.0);
-}
-
-TEST(Stats, QuantileInterpolates) {
-  const std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 25.0);
-}
-
-TEST(Stats, QuantileOfEmptyThrows) {
-  EXPECT_THROW(quantile({}, 0.5), Error);
-}
-
-TEST(Stats, TukeyFlagsOutliers) {
-  const std::vector<double> xs{1, 2, 2, 3, 3, 3, 4, 4, 100};
-  const TukeySummary s = tukey_summary(xs);
-  EXPECT_EQ(s.n, xs.size());
-  EXPECT_EQ(s.outliers.size(), 1u);
-  EXPECT_DOUBLE_EQ(s.outliers.front(), 100.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_LE(s.q1, s.median);
-  EXPECT_LE(s.median, s.q3);
 }
 
 TEST(Histogram, BinsAndClamping) {

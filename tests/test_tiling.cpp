@@ -66,18 +66,6 @@ TEST(Tiling, RandomUniformCoversExactlyAndRespectsBounds) {
   }
 }
 
-TEST(Tiling, FuseProducesPairProducts) {
-  const std::vector<Index> ea{2, 3};
-  const std::vector<Index> eb{5, 7};
-  const Tiling f = fuse(Tiling::from_extents(ea), Tiling::from_extents(eb));
-  ASSERT_EQ(f.num_tiles(), 4u);
-  EXPECT_EQ(f.tile_extent(0), 10);
-  EXPECT_EQ(f.tile_extent(1), 14);
-  EXPECT_EQ(f.tile_extent(2), 15);
-  EXPECT_EQ(f.tile_extent(3), 21);
-  EXPECT_EQ(f.extent(), 5 * 12);
-}
-
 TEST(Tiling, EqualityIsStructural) {
   const std::vector<Index> e{4, 4};
   EXPECT_EQ(Tiling::from_extents(e), Tiling::uniform(8, 4));
