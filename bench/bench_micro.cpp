@@ -1,18 +1,23 @@
 /// google-benchmark micro-benchmarks for the library's hot paths: the
 /// CPU GEMM kernel, shape algebra (the inspector's dominant cost), the
-/// three inspector phases and the bulk-byte hash.
+/// three inspector phases, plan lowering, the scheduler's per-run and
+/// per-task costs and the bulk-byte hash.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "chem/abcd.hpp"
+#include "core/engine.hpp"
 #include "plan/builder.hpp"
 #include "plan/column_assignment.hpp"
 #include "runtime/compute_pool.hpp"
 #include "runtime/scheduler.hpp"
 #include "service/fingerprint.hpp"
+#include "service/serve_api.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/hash.hpp"
 #include "tile/gemm.hpp"
@@ -93,22 +98,92 @@ void BM_ColumnAssignment(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnAssignment)->Arg(48000)->Arg(192000);
 
+/// Runs nothing: the scheduler's own cost per task and per run.
+struct NoopDispatch final : TaskDispatch {
+  void run(const TaskNode&) override {}
+  void name(const TaskNode&, std::string& out) const override { out += "t"; }
+};
+
 void BM_SchedulerThroughput(benchmark::State& state) {
   // Tasks/second of the unrolled-DAG scheduler on an embarrassingly
-  // parallel graph (runtime overhead floor).
+  // parallel graph (runtime overhead floor). The graph is built and
+  // sealed once and replayed, as the engine replays a cached lowering.
   const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    TaskGraph graph;
-    for (std::size_t t = 0; t < n; ++t) {
-      graph.add_task("t", static_cast<std::uint32_t>(t % 2), [] {});
-    }
-    state.ResumeTiming();
-    run_graph(graph, 2);
+  TaskGraph graph;
+  for (std::size_t t = 0; t < n; ++t) {
+    graph.add_task(static_cast<std::uint32_t>(t % 2));
   }
+  graph.seal();
+  NoopDispatch dispatch;
+  for (auto _ : state) run_graph(graph, 2, dispatch);
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
-BENCHMARK(BM_SchedulerThroughput)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SchedulerThroughput)->Arg(1000)->Arg(10000)->UseRealTime();
+
+void BM_RunGraphFixed(benchmark::State& state) {
+  // The fixed cost of one run: a 1-task graph on 3 queues (serve-mix's
+  // queue count is 2-3) — waking the lanes, one task, every lane leaving.
+  TaskGraph graph;
+  graph.add_task(0);
+  graph.seal();
+  NoopDispatch dispatch;
+  for (auto _ : state) run_graph(graph, 3, dispatch);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RunGraphFixed)->UseRealTime();
+
+/// A problem and its plan, lowered by BM_LowerPlan.
+struct PlannedProblem {
+  Shape a, b, c;
+  MachineModel machine;
+  ExecutionPlan plan;
+};
+
+PlannedProblem planned_problem(int which) {
+  PlannedProblem p;
+  if (which == 0) {
+    // serve-mix's second hot spec: m 80, k = n 400, density 0.4, tiles
+    // 8-24, one device with 1e6 B.
+    ServeProblemSpec spec;
+    spec.m = 80;
+    spec.k = spec.n = 400;
+    spec.seed = 1001;
+    const BuiltServeProblem built = build_serve_problem(spec);
+    p.a = built.a_shape;
+    p.b = built.b_shape;
+    p.c = built.c_shape;
+    p.machine = built.machine;
+  } else {
+    // abcd-fine: C10H22 ABCD, 3 occupied / 10 AO clusters, 2 devices of
+    // 1e7 B (7,594 tasks).
+    AbcdConfig cfg;
+    cfg.occ_clusters = 3;
+    cfg.ao_clusters = 10;
+    cfg.symmetric_pairs = true;
+    const AbcdProblem abcd = build_abcd(
+        OrbitalSystem::build(Molecule::alkane(10), BasisSet::kSto3g), cfg);
+    p.a = abcd.t;
+    p.b = abcd.v;
+    p.c = abcd.r;
+    p.machine = MachineModel::summit_gpus(2);
+    p.machine.node.gpu.memory_bytes = 1e7;
+  }
+  p.plan = build_plan(p.a, p.b, p.c, p.machine, PlanConfig{});
+  return p;
+}
+
+void BM_LowerPlan(benchmark::State& state) {
+  // Plan -> sealed task graph + plan stats: paid once per cached plan
+  // (and on every one-shot contract()).
+  const PlannedProblem p = planned_problem(static_cast<int>(state.range(0)));
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    const auto lowered = lower_plan(p.plan, p.a, p.b, p.c, p.machine, {});
+    tasks = lowered->graph.size();
+  }
+  state.counters["tasks"] = static_cast<double>(tasks);
+}
+BENCHMARK(BM_LowerPlan)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_PoolForkJoin(benchmark::State& state) {
   // One empty ComputePool::parallel_for round trip with one unit per

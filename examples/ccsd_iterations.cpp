@@ -12,6 +12,7 @@
 /// geometrically; every iteration runs the full distributed engine.
 
 #include <cstdio>
+#include <memory>
 
 #include "bsm/block_sparse_matrix.hpp"
 #include "core/engine.hpp"
@@ -71,10 +72,13 @@ int main() {
   EngineConfig cfg;
   cfg.plan.p = 2;
 
-  // Inspect once: V is fixed across iterations, so one plan serves the
-  // whole solve (the paper's inspector/executor separation).
+  // Inspect and lower once: V is fixed across iterations, so one plan and
+  // its task graph serve the whole solve (the paper's inspector/executor
+  // separation).
   const ExecutionPlan plan =
       build_plan(t_shape, v_shape, r_shape, machine, cfg.plan);
+  const std::shared_ptr<const LoweredPlan> lowered =
+      lower_plan(plan, t_shape, v_shape, r_shape, machine, cfg);
 
   std::printf("Mock CCSD amplitude iterations (T <- T - (B0 + T*V))\n");
   std::printf("T: %lld x %lld, V: %lld x %lld at %s fill\n\n",
@@ -88,8 +92,9 @@ int main() {
   std::size_t total_tasks = 0;
   for (int iter = 0; iter < 12; ++iter) {
     // R = B0 + T*V on the distributed engine (B0 enters as initial C).
-    const EngineResult result = contract_with_plan(
-        plan, t_amplitudes, v_shape, v_gen, r_shape, &b0, machine, cfg);
+    const EngineResult result =
+        contract_lowered(plan, *lowered, t_amplitudes, v_shape, v_gen,
+                         r_shape, &b0, machine, cfg);
     total_tasks += result.tasks_executed;
     const double norm = result.c.norm();
     std::printf("iter %2d: |R| = %.6e\n", iter, norm);

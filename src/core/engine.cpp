@@ -4,11 +4,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "comm/transport.hpp"
+#include "obs/obs.hpp"
 #include "plan/builder.hpp"
 #include "runtime/compute_pool.hpp"
 #include "runtime/device.hpp"
@@ -71,6 +73,273 @@ struct NodeState {
   std::mutex mutex;
 };
 
+/// Both operands conform to the product (and to C's initial value).
+void require_conformant(const BlockSparseMatrix& a, const Shape& b_shape,
+                        const BlockSparseMatrix* c_init) {
+  BSTC_REQUIRE(a.shape().col_tiling() == b_shape.row_tiling(),
+               "inner tilings of A and B must agree");
+  if (c_init != nullptr) {
+    BSTC_REQUIRE(c_init->row_tiling() == a.row_tiling() &&
+                     c_init->col_tiling() == b_shape.col_tiling(),
+                 "C init tilings must match the product");
+  }
+}
+
+/// The state of one call and the dispatcher that runs the lowering's
+/// task records on it.
+struct CallState final : TaskDispatch {
+  CallState(const ExecutionPlan& plan_, const LoweredPlan& lowered_,
+            const BlockSparseMatrix& a_, const Shape& b_shape_,
+            const Shape& c_shape_, ComputePool& pool_, bool persistent_b_)
+      : plan(plan_),
+        lowered(lowered_),
+        a(a_),
+        b_shape(b_shape_),
+        c_shape(c_shape_),
+        pool(pool_),
+        persistent_b(persistent_b_),
+        num_nodes(plan_.grid.nodes()),
+        comm(plan_.grid.nodes()) {}
+
+  void run(const TaskNode& t) override {
+    switch (static_cast<TaskKind>(t.kind)) {
+      case TaskKind::kASend: return a_send(t);
+      case TaskKind::kGen: return gen(t);
+      case TaskKind::kLoad: return load(t);
+      case TaskKind::kChunkLoad: return chunk_load(t);
+      case TaskKind::kGemmBatch: return gemm_batch(t);
+      case TaskKind::kChunkUnload: return chunk_unload(t);
+      case TaskKind::kStore: return store(t);
+    }
+    BSTC_CHECK(false);
+  }
+
+  void name(const TaskNode& t, std::string& out) const override {
+    // "kind(n<node>,b<block>[,<prefix><index>])"
+    auto block_task = [&](const char* kind, const char* index_prefix) {
+      out.append(kind).append("(n").append(std::to_string(t.node));
+      out.append(",b").append(std::to_string(t.block));
+      if (index_prefix != nullptr) {
+        out.append(",").append(index_prefix).append(std::to_string(t.index));
+      }
+      out.append(")");
+    };
+    switch (static_cast<TaskKind>(t.kind)) {
+      case TaskKind::kASend: {
+        const LoweredPlan::ASend& send = lowered.a_sends[t.index];
+        out.append("asend(").append(std::to_string(send.i)).append(",");
+        out.append(std::to_string(send.k)).append("->x");
+        out.append(std::to_string(send.consumers.size())).append(")");
+        return;
+      }
+      case TaskKind::kGen: return block_task("gen", "p");
+      case TaskKind::kLoad: return block_task("load", "p");
+      case TaskKind::kChunkLoad: return block_task("chunkload", "");
+      case TaskKind::kGemmBatch: {
+        const GemmGroup& grp = lowered.groups[t.index];
+        out.append("gemmbatch(").append(std::to_string(grp.k)).append(",");
+        out.append(std::to_string(grp.j)).append(",x");
+        out.append(std::to_string(grp.is.size())).append(")");
+        return;
+      }
+      case TaskKind::kChunkUnload: return block_task("chunkunload", "");
+      case TaskKind::kStore: return block_task("store", nullptr);
+    }
+  }
+
+  const BlockPlan& block_of(const TaskNode& t) const {
+    return plan.nodes[t.node].blocks[t.block];
+  }
+  BlockResidence& residence_of(const TaskNode& t) {
+    return residences[t.node][t.block];
+  }
+  /// The device whose queue runs `t` (devices are in queue order).
+  DeviceMemory& device_of(const TaskNode& t) {
+    return *devices[t.queue - static_cast<std::uint32_t>(num_nodes)];
+  }
+
+  // Root send tasks on the home ranks' CPU queues (the background
+  // broadcast of A along grid rows, paper §3.2.4): one task per tile
+  // broadcasting to its full consumer set.
+  void a_send(const TaskNode& t) {
+    const LoweredPlan::ASend& send = lowered.a_sends[t.index];
+    transport->send_multi(send.home, send.consumers, tile_key(send.i, send.k),
+                          a.tile(send.i, send.k));
+  }
+
+  void gen(const TaskNode& t) {
+    NodeState& ns = node_states[t.node];
+    const ColumnPiece& piece = block_of(t).pieces[t.index];
+    std::vector<const Tile*>& host_b = residence_of(t).host_b[t.index];
+    // Session mode: the tile survives across iterations and staging takes
+    // no pin. Otherwise the pin taken here is released by the block's
+    // store task.
+    auto acquire = [&](std::size_t x) {
+      host_b[x] = persistent_b
+                      ? &ns.b->acquire_persistent(piece.ks[x], piece.col)
+                      : &ns.b->acquire(piece.ks[x], piece.col);
+    };
+    // Cached tiles resolve inline; the misses are generated tile by tile
+    // on the pool when they are large enough.
+    std::vector<std::size_t> misses;
+    double miss_elements = 0.0;
+    const Index cols = b_shape.col_tiling().tile_extent(piece.col);
+    for (std::size_t x = 0; x < piece.ks.size(); ++x) {
+      if (ns.b->resident(piece.ks[x], piece.col)) {
+        acquire(x);
+      } else {
+        misses.push_back(x);
+        miss_elements += static_cast<double>(
+            b_shape.row_tiling().tile_extent(piece.ks[x]) * cols);
+      }
+    }
+    if (misses.size() < 2 ||
+        miss_elements <
+            kGenGrainElements * static_cast<double>(misses.size())) {
+      for (const std::size_t x : misses) acquire(x);
+    } else {
+      pool.parallel_for(misses.size(),
+                        [&](std::size_t u) { acquire(misses[u]); });
+    }
+  }
+
+  // Stage the generated B tiles of a piece on the device.
+  void load(const TaskNode& t) {
+    BlockResidence& res = residence_of(t);
+    const ColumnPiece& piece = block_of(t).pieces[t.index];
+    const std::vector<const Tile*>& host_b = res.host_b[t.index];
+    device_of(t).allocate(static_cast<std::size_t>(piece.bytes()));
+    std::lock_guard lock(res.mutex);
+    for (std::size_t x = 0; x < piece.ks.size(); ++x) {
+      res.b.emplace(tile_key(piece.ks[x], piece.col), view_of(*host_b[x]));
+    }
+    // Stage C tiles of this column for the slice rows (zero-initialised;
+    // any initial C is added at assembly).
+    const auto p = static_cast<std::size_t>(plan.grid.p);
+    for (auto i = static_cast<std::size_t>(plan.nodes[t.node].grid_row);
+         i < c_shape.tile_rows(); i += p) {
+      if (!c_shape.nonzero(i, piece.col)) continue;
+      const std::uint64_t key =
+          tile_key(static_cast<std::uint32_t>(i), piece.col);
+      if (res.c.find(key) == res.c.end()) {
+        res.c.emplace(key,
+                      Tile(c_shape.row_tiling().tile_extent(i),
+                           c_shape.col_tiling().tile_extent(piece.col)));
+      }
+    }
+  }
+
+  void chunk_load(const TaskNode& t) {
+    NodeState& ns = node_states[t.node];
+    BlockResidence& res = residence_of(t);
+    const Chunk& chunk = block_of(t).chunks[t.index];
+    const auto n = static_cast<int>(t.node);
+    device_of(t).allocate(static_cast<std::size_t>(chunk.a_bytes));
+    std::lock_guard lock(res.mutex);
+    for (const auto& [i, k] : chunk.a_tiles) {
+      const int home = plan.grid.home_of(i, k);
+      const bool remote = home != n;
+      // Explicit transport: stall until the message arrived (the send
+      // tasks are dependence-free roots, so progress is guaranteed).
+      // Bytes are recorded by the transport. Either source outlives the
+      // run: mailbox entries are never evicted, and `a` is the caller's.
+      const Tile& host = (transport && remote)
+                             ? transport->mailbox(n).wait(tile_key(i, k))
+                             : a.tile(i, k);
+      if (!transport && remote) {
+        std::lock_guard node_lock(ns.mutex);
+        if (ns.a_received.insert(tile_key(i, k)).second) {
+          comm.record(home, n, static_cast<double>(host.bytes()));
+        }
+      }
+      res.a.emplace(tile_key(i, k), view_of(host));
+    }
+  }
+
+  // One task per (k, j) B tile a chunk touches: the B panel is packed once
+  // and reused across every A-row tile of the group, and scheduling
+  // overhead is paid per group, not per GEMM.
+  void gemm_batch(const TaskNode& t) {
+    const GemmGroup& grp = lowered.groups[t.index];
+    BlockResidence& res = residence_of(t);
+    // A device queue runs one task at a time, so no other GEMM task
+    // touches these C tiles meanwhile; the pool's units of this one write
+    // disjoint columns or disjoint C tiles.
+    const Tile& bt = res.b.at(tile_key(grp.k, grp.j));
+    std::vector<GemmBatchItem> items;
+    items.reserve(grp.is.size());
+    for (const std::uint32_t i : grp.is) {
+      items.push_back(
+          {&res.a.at(tile_key(i, grp.k)), &res.c.at(tile_key(i, grp.j))});
+    }
+    // One autotuned kernel for the whole shared-B group.
+    const MicroKernel& mk = select_batch_microkernel(items, bt);
+    gemm_batch_split(pool, plan_gemm_batch_split(mk, items, bt, pool.size()),
+                     mk, 1.0, items, bt, 1.0);
+  }
+
+  void chunk_unload(const TaskNode& t) {
+    BlockResidence& res = residence_of(t);
+    const Chunk& chunk = block_of(t).chunks[t.index];
+    std::lock_guard lock(res.mutex);
+    for (const auto& [i, k] : chunk.a_tiles) res.a.erase(tile_key(i, k));
+    device_of(t).release(static_cast<std::size_t>(chunk.a_bytes));
+  }
+
+  // Flush C to the host store and free the block.
+  void store(const TaskNode& t) {
+    NodeState& ns = node_states[t.node];
+    BlockResidence& res = residence_of(t);
+    const BlockPlan& block = block_of(t);
+    std::lock_guard lock(res.mutex);
+    {
+      std::lock_guard node_lock(ns.mutex);
+      for (auto& [key, tile] : res.c) {
+        const auto it = ns.c_store.find(key);
+        if (it == ns.c_store.end()) {
+          ns.c_store.emplace(key, std::move(tile));
+        } else {
+          it->second.axpy(1.0, tile);  // segmented-column reduce
+        }
+      }
+    }
+    res.c.clear();
+    res.b.clear();
+    // Drop the gen tasks' pins now that no view of the tiles is left
+    // (session mode took none).
+    if (!persistent_b) {
+      for (const ColumnPiece& piece : block.pieces) {
+        for (const std::uint32_t k : piece.ks) ns.b->release(k, piece.col);
+      }
+    }
+    device_of(t).release(static_cast<std::size_t>(block.bytes));
+  }
+
+  const ExecutionPlan& plan;
+  const LoweredPlan& lowered;
+  const BlockSparseMatrix& a;
+  const Shape& b_shape;
+  const Shape& c_shape;
+  ComputePool& pool;
+  const bool persistent_b;
+  const int num_nodes;
+  Transport* transport = nullptr;  ///< null unless A travels as messages
+  CommRecorder comm;
+  /// Per-device memory trackers, flattened in queue order.
+  std::vector<std::unique_ptr<DeviceMemory>> devices;
+  std::vector<NodeState> node_states;
+  /// Residences, pre-sized so tasks can hold stable pointers.
+  std::vector<std::vector<BlockResidence>> residences;
+};
+
+TaskId add_task(TaskGraph& graph, std::uint32_t queue, TaskKind kind,
+                std::size_t node, std::size_t block, std::size_t index = 0) {
+  return graph.add_task(queue, static_cast<std::uint8_t>(kind),
+                        static_cast<std::uint32_t>(node),
+                        static_cast<std::uint32_t>(block),
+                        static_cast<std::uint32_t>(index));
+}
+
 }  // namespace
 
 EngineResult contract(const BlockSparseMatrix& a, const Shape& b_shape,
@@ -91,18 +360,46 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                 const BlockSparseMatrix* c_init,
                                 const MachineModel& machine,
                                 const EngineConfig& cfg) {
-  BSTC_REQUIRE(a.shape().col_tiling() == b_shape.row_tiling(),
-               "inner tilings of A and B must agree");
-  if (c_init != nullptr) {
-    BSTC_REQUIRE(c_init->row_tiling() == a.row_tiling() &&
-                     c_init->col_tiling() == b_shape.col_tiling(),
-                 "C init tilings must match the product");
-  }
-
+  require_conformant(a, b_shape, c_init);
   Timer timer;
+  const std::shared_ptr<const LoweredPlan> lowered =
+      lower_plan(plan, a.shape(), b_shape, c_shape, machine, cfg);
+  EngineResult result = contract_lowered(plan, *lowered, a, b_shape,
+                                         b_generator, c_shape, c_init,
+                                         machine, cfg);
+  result.wall_seconds = timer.elapsed_s();
+  return result;
+}
+
+bool LoweredPlan::fits(const EngineConfig& cfg) const {
+  return messaged == (cfg.explicit_messages || cfg.transport != nullptr) &&
+         local_rank == cfg.local_rank && a_bcast == cfg.a_bcast &&
+         node_of_rank == cfg.node_of_rank;
+}
+
+std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
+                                              const Shape& a_shape,
+                                              const Shape& b_shape,
+                                              const Shape& c_shape,
+                                              const MachineModel& machine,
+                                              const EngineConfig& cfg) {
+  auto lowered = std::make_shared<LoweredPlan>();
+  LoweredPlan& low = *lowered;
   const int num_nodes = plan.grid.nodes();
   // Tile homes are 2D-cyclic over grid *slots*; the grid's layout maps
   // slots to ranks (identity unless a node-aware permutation was planned).
+
+  // Distributed single-rank mode: lower only local_rank's share of the
+  // DAG (it runs against an external network transport).
+  const bool distributed = cfg.local_rank >= 0;
+  if (distributed) {
+    BSTC_REQUIRE(cfg.local_rank < num_nodes,
+                 "local_rank out of range for the plan's grid");
+  }
+  low.messaged = cfg.explicit_messages || cfg.transport != nullptr;
+  low.local_rank = cfg.local_rank;
+  low.a_bcast = cfg.a_bcast;
+  low.node_of_rank = cfg.node_of_rank;
 
   // Queue layout: [0, num_nodes) are CPU queues (B generation), then one
   // queue per device.
@@ -114,90 +411,16 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     next_queue += static_cast<std::uint32_t>(
         plan.gpus_of_node[static_cast<std::size_t>(n)]);
   }
-  const std::uint32_t num_queues = next_queue;
+  low.num_queues = next_queue;
 
-  // Per-device memory trackers (flattened in queue order).
-  std::vector<std::unique_ptr<DeviceMemory>> devices;
-  for (int n = 0; n < num_nodes; ++n) {
-    for (int g = 0; g < plan.gpus_of_node[static_cast<std::size_t>(n)]; ++g) {
-      devices.push_back(std::make_unique<DeviceMemory>(
-          "node" + std::to_string(n) + ".gpu" + std::to_string(g),
-          static_cast<std::size_t>(machine.node.gpu.memory_bytes)));
-    }
-  }
-  auto device_of = [&](int node, std::uint32_t gpu) -> DeviceMemory& {
-    return *devices[device_queue_base[static_cast<std::size_t>(node)] -
-                    static_cast<std::uint32_t>(num_nodes) + gpu];
-  };
-  auto device_queue = [&](int node, std::uint32_t gpu) {
-    return device_queue_base[static_cast<std::size_t>(node)] + gpu;
-  };
-
-  // Node state (per-rank on-demand B, C accumulation store). In session
-  // mode (cfg.b_cache) the caches are caller-owned and survive this call;
-  // otherwise they are fresh and die with it.
-  const bool persistent_b = cfg.b_cache != nullptr;
-  std::vector<std::unique_ptr<TileSource>> owned_b;
-  if (persistent_b && cfg.b_cache->empty()) {
-    for (int n = 0; n < num_nodes; ++n) {
-      cfg.b_cache->push_back(
-          std::make_unique<OnDemandMatrix>(b_shape, b_generator));
-    }
-  }
-  if (persistent_b) {
-    BSTC_REQUIRE(cfg.b_cache->size() == static_cast<std::size_t>(num_nodes),
-                 "b_cache was filled for a different grid");
-  }
-  std::vector<NodeState> node_states(static_cast<std::size_t>(num_nodes));
-  for (int n = 0; n < num_nodes; ++n) {
-    node_states[static_cast<std::size_t>(n)].b =
-        persistent_b
-            ? (*cfg.b_cache)[static_cast<std::size_t>(n)].get()
-            : owned_b
-                  .emplace_back(
-                      std::make_unique<OnDemandMatrix>(b_shape, b_generator))
-                  .get();
-  }
-
-  CommRecorder comm(num_nodes);
-  // Lanes lend their divisible work (gemmbatch column panels or item
-  // ranges, a piece's missing B tiles) to the host's otherwise idle cores.
-  ComputePool& pool = ComputePool::process(ranks_on_host(cfg));
-
-  // Distributed single-rank mode: build and run only local_rank's share
-  // of the DAG against an external (network) transport.
-  const bool distributed = cfg.local_rank >= 0;
-  if (distributed) {
-    BSTC_REQUIRE(cfg.local_rank < num_nodes,
-                 "local_rank out of range for the plan's grid");
-    BSTC_REQUIRE(cfg.transport != nullptr,
-                 "distributed execution needs an external transport");
-  }
-  const bool messaged = cfg.explicit_messages || cfg.transport != nullptr;
-
-  // Optional explicit message transport for remote A tiles: precompute,
-  // per consumer node, the unique remote tiles it needs; their home
-  // nodes get root send tasks. An external transport (distributed mode)
-  // replaces the engine-private one; its recorder accumulates across
-  // calls, so traffic is measured as a delta.
-  std::unique_ptr<Transport> owned_transport;
-  Transport* transport = cfg.transport;
-  if (messaged && transport == nullptr) {
-    owned_transport = std::make_unique<Transport>(num_nodes);
-    transport = owned_transport.get();
-  }
-  if (transport != nullptr) {
-    BSTC_REQUIRE(transport->nodes() == num_nodes,
-                 "transport was built for a different grid");
-  }
-  const double transport_bytes_before =
-      transport != nullptr ? transport->recorder().total_bytes() : 0.0;
-  // Per A tile: its home rank and the ascending list of consumer ranks.
-  // One *collective* send per tile (not one per consumer) so the
-  // transport can serialize once and fan out tree/ring/shm; ordered map
-  // for deterministic task creation.
+  // Explicit messages for remote A tiles: per consumer node, the unique
+  // remote tiles it needs; their home nodes get root send tasks. Per A
+  // tile: its home rank and the ascending list of consumer ranks. One
+  // *collective* send per tile (not one per consumer) so the transport
+  // can serialize once and fan out tree/ring/shm; ordered map for
+  // deterministic task creation.
   std::map<std::uint64_t, std::pair<int, std::vector<int>>> a_sends;
-  if (messaged) {
+  if (low.messaged) {
     for (int n = 0; n < num_nodes; ++n) {
       std::unordered_set<std::uint64_t> needed;
       for (const BlockPlan& block :
@@ -219,47 +442,24 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     }
   }
 
-  // Residences, pre-sized so tasks can hold stable pointers.
-  std::vector<std::vector<BlockResidence>> residences(
-      static_cast<std::size_t>(num_nodes));
-  for (int n = 0; n < num_nodes; ++n) {
-    const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
-    residences[static_cast<std::size_t>(n)] =
-        std::vector<BlockResidence>(node_plan.blocks.size());
-    for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
-      auto& host_b = residences[static_cast<std::size_t>(n)][bi].host_b;
-      for (const ColumnPiece& piece : node_plan.blocks[bi].pieces) {
-        host_b.emplace_back(piece.ks.size(), nullptr);
-      }
-    }
+  TaskGraph& graph = low.graph;
+  for (auto& [key, home_consumers] : a_sends) {
+    add_task(graph, static_cast<std::uint32_t>(home_consumers.first),
+             TaskKind::kASend, 0, 0, low.a_sends.size());
+    low.a_sends.push_back({static_cast<std::uint32_t>(key >> 32),
+                           static_cast<std::uint32_t>(key & 0xffffffffu),
+                           home_consumers.first,
+                           std::move(home_consumers.second)});
   }
 
-  TaskGraph graph;
-
-  // Root send tasks on the home ranks' CPU queues (the background
-  // broadcast of A along grid rows, paper §3.2.4): one task per tile
-  // broadcasting to its full consumer set.
-  for (const auto& [key, home_consumers] : a_sends) {
-    const auto si = static_cast<std::uint32_t>(key >> 32);
-    const auto sk = static_cast<std::uint32_t>(key & 0xffffffffu);
-    graph.add_task(
-        "asend(" + std::to_string(si) + "," + std::to_string(sk) + "->x" +
-            std::to_string(home_consumers.second.size()) + ")",
-        static_cast<std::uint32_t>(home_consumers.first),
-        [transport, &a, home = home_consumers.first,
-         consumers = home_consumers.second, si = si, sk = sk] {
-          transport->send_multi(home, consumers, tile_key(si, sk),
-                                a.tile(si, sk));
-        });
-  }
-
+  low.prefetch_depth.resize(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
     // Distributed: only the local rank's blocks become tasks (queue ids
     // stay global so the plan's device numbering is unchanged).
     if (distributed && n != cfg.local_rank) continue;
     const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
-    NodeState& ns = node_states[static_cast<std::size_t>(n)];
     const auto cpu_queue = static_cast<std::uint32_t>(n);
+    const auto node = static_cast<std::size_t>(n);
 
     // --- Gen tasks, created first and in consumption order. ---
     // They are the CPU queue's roots, which it runs in creation order.
@@ -281,52 +481,10 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
         for (const auto& [gpu, blocks] : blocks_of_gpu) {
           if (r >= blocks.size()) continue;
           const std::size_t bi = blocks[r];
-          const BlockPlan& block = node_plan.blocks[bi];
-          if (pi >= block.pieces.size()) continue;
+          if (pi >= node_plan.blocks[bi].pieces.size()) continue;
           any = true;
-          const ColumnPiece& piece = block.pieces[pi];
-          std::vector<const Tile*>& host_b =
-              residences[static_cast<std::size_t>(n)][bi].host_b[pi];
-          gen_of_piece[bi].push_back(graph.add_task(
-              "gen(n" + std::to_string(n) + ",b" + std::to_string(bi) +
-                  ",p" + std::to_string(pi) + ")",
-              cpu_queue,
-              [&ns, &piece, &host_b, &b_shape, &pool, persistent_b] {
-                // Session mode: the tile survives across iterations and
-                // staging takes no pin. Otherwise the pin taken here is
-                // released by the block's store task.
-                auto acquire = [&](std::size_t x) {
-                  host_b[x] = persistent_b
-                                  ? &ns.b->acquire_persistent(piece.ks[x],
-                                                              piece.col)
-                                  : &ns.b->acquire(piece.ks[x], piece.col);
-                };
-                // Cached tiles resolve inline; the misses are generated
-                // tile by tile on the pool when they are large enough.
-                std::vector<std::size_t> misses;
-                double miss_elements = 0.0;
-                const Index cols =
-                    b_shape.col_tiling().tile_extent(piece.col);
-                for (std::size_t x = 0; x < piece.ks.size(); ++x) {
-                  if (ns.b->resident(piece.ks[x], piece.col)) {
-                    acquire(x);
-                  } else {
-                    misses.push_back(x);
-                    miss_elements += static_cast<double>(
-                        b_shape.row_tiling().tile_extent(piece.ks[x]) * cols);
-                  }
-                }
-                if (misses.size() < 2 ||
-                    miss_elements <
-                        kGenGrainElements *
-                            static_cast<double>(misses.size())) {
-                  for (const std::size_t x : misses) acquire(x);
-                } else {
-                  pool.parallel_for(misses.size(), [&](std::size_t u) {
-                    acquire(misses[u]);
-                  });
-                }
-              }));
+          gen_of_piece[bi].push_back(
+              add_task(graph, cpu_queue, TaskKind::kGen, node, bi, pi));
         }
         if (!any) break;
       }
@@ -338,14 +496,11 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
 
     for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
       const BlockPlan& block = node_plan.blocks[bi];
-      BlockResidence& res = residences[static_cast<std::size_t>(n)][bi];
-      DeviceMemory& dev = device_of(n, block.gpu);
-      const std::uint32_t dq = device_queue(n, block.gpu);
+      const std::uint32_t dq = device_queue_base[node] + block.gpu;
 
       // How much device memory the block leaves for A chunks decides the
       // prefetch depth (2 = paper's 25% + 25% scheme).
-      const double spare =
-          machine.node.gpu.memory_bytes - block.bytes;
+      const double spare = machine.node.gpu.memory_bytes - block.bytes;
       double max_chunk_bytes = 0.0;
       for (const Chunk& chunk : block.chunks) {
         max_chunk_bytes = std::max(max_chunk_bytes, chunk.a_bytes);
@@ -359,40 +514,12 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                      static_cast<int>(spare /
                                                       max_chunk_bytes)))
               : 1;
+      low.prefetch_depth[node].push_back(prefetch_depth);
 
       // --- Piece tasks: stage the generated B tiles on the device. ---
       std::vector<TaskId> piece_loads;
       for (std::size_t pi = 0; pi < block.pieces.size(); ++pi) {
-        const ColumnPiece& piece = block.pieces[pi];
-        const TaskId load = graph.add_task(
-            "load(n" + std::to_string(n) + ",b" + std::to_string(bi) + ",p" +
-                std::to_string(pi) + ")",
-            dq,
-            [&res, &dev, &piece, &c_shape, n, &plan,
-             &host_b = std::as_const(res.host_b[pi])] {
-              dev.allocate(static_cast<std::size_t>(piece.bytes()));
-              std::lock_guard lock(res.mutex);
-              for (std::size_t x = 0; x < piece.ks.size(); ++x) {
-                res.b.emplace(tile_key(piece.ks[x], piece.col),
-                              view_of(*host_b[x]));
-              }
-              // Stage C tiles of this column for the slice rows
-              // (zero-initialised; any initial C is added at assembly).
-              const int p = plan.grid.p;
-              for (std::size_t i = static_cast<std::size_t>(
-                       plan.nodes[static_cast<std::size_t>(n)].grid_row);
-                   i < c_shape.tile_rows(); i += static_cast<std::size_t>(p)) {
-                if (!c_shape.nonzero(i, piece.col)) continue;
-                const std::uint64_t key =
-                    tile_key(static_cast<std::uint32_t>(i), piece.col);
-                if (res.c.find(key) == res.c.end()) {
-                  res.c.emplace(
-                      key,
-                      Tile(c_shape.row_tiling().tile_extent(i),
-                           c_shape.col_tiling().tile_extent(piece.col)));
-                }
-              }
-            });
+        const TaskId load = add_task(graph, dq, TaskKind::kLoad, node, bi, pi);
         graph.add_edge(gen_of_piece[bi][pi], load, EdgeKind::kData);
         piece_loads.push_back(load);
       }
@@ -402,77 +529,22 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       std::vector<TaskId> chunk_loads, chunk_unloads;
       std::vector<std::vector<TaskId>> chunk_gemms(block.chunks.size());
       for (std::size_t ci = 0; ci < block.chunks.size(); ++ci) {
-        const Chunk& chunk = block.chunks[ci];
-        const TaskId load = graph.add_task(
-            "chunkload(n" + std::to_string(n) + ",b" + std::to_string(bi) +
-                "," + std::to_string(ci) + ")",
-            dq,
-            [&ns, &res, &dev, &chunk, &a, &plan, &comm, transport, n] {
-              dev.allocate(static_cast<std::size_t>(chunk.a_bytes));
-              std::lock_guard lock(res.mutex);
-              for (const auto& [i, k] : chunk.a_tiles) {
-                const int home = plan.grid.home_of(i, k);
-                const bool remote = home != n;
-                // Explicit transport: stall until the message arrived
-                // (the send tasks are dependence-free roots, so progress
-                // is guaranteed). Bytes are recorded by the transport.
-                // Either source outlives the run: mailbox entries are
-                // never evicted, and `a` is the caller's.
-                const Tile& host =
-                    (transport && remote)
-                        ? transport->mailbox(n).wait(tile_key(i, k))
-                        : a.tile(i, k);
-                if (!transport && remote) {
-                  std::lock_guard node_lock(ns.mutex);
-                  if (ns.a_received.insert(tile_key(i, k)).second) {
-                    comm.record(home, n, static_cast<double>(host.bytes()));
-                  }
-                }
-                res.a.emplace(tile_key(i, k), view_of(host));
-              }
-            });
+        const TaskId load =
+            add_task(graph, dq, TaskKind::kChunkLoad, node, bi, ci);
         chunk_loads.push_back(load);
 
-        // One task per (k, j) B tile the chunk touches: the B panel is
-        // packed once and reused across every A-row tile of the group,
-        // and scheduling overhead is paid per group, not per GEMM.
-        for (const GemmGroup& grp : enumerator.gemm_groups(chunk, c_shape)) {
-          const TaskId g = graph.add_task(
-              "gemmbatch(" + std::to_string(grp.k) + "," +
-                  std::to_string(grp.j) + ",x" +
-                  std::to_string(grp.is.size()) + ")",
-              dq, [&res, &pool, grp] {
-                // A device queue runs one task at a time, so no other GEMM
-                // task touches these C tiles meanwhile; the pool's units
-                // of this one write disjoint columns or disjoint C tiles.
-                const Tile& bt = res.b.at(tile_key(grp.k, grp.j));
-                std::vector<GemmBatchItem> items;
-                items.reserve(grp.is.size());
-                for (const std::uint32_t i : grp.is) {
-                  items.push_back({&res.a.at(tile_key(i, grp.k)),
-                                   &res.c.at(tile_key(i, grp.j))});
-                }
-                // One autotuned kernel for the whole shared-B group.
-                const MicroKernel& mk = select_batch_microkernel(items, bt);
-                gemm_batch_split(
-                    pool, plan_gemm_batch_split(mk, items, bt, pool.size()),
-                    mk, 1.0, items, bt, 1.0);
-              });
+        for (GemmGroup& grp :
+             enumerator.gemm_groups(block.chunks[ci], c_shape)) {
+          const TaskId g = add_task(graph, dq, TaskKind::kGemmBatch, node,
+                                    bi, low.groups.size());
           chunk_gemms[ci].push_back(g);
           // Dataflow: the batch needs the piece owning its B tile staged.
           graph.add_edge(piece_loads[grp.piece], g, EdgeKind::kData);
+          low.groups.push_back(std::move(grp));
         }
 
-        const TaskId unload = graph.add_task(
-            "chunkunload(n" + std::to_string(n) + ",b" + std::to_string(bi) +
-                "," + std::to_string(ci) + ")",
-            dq, [&res, &dev, &chunk] {
-              std::lock_guard lock(res.mutex);
-              for (const auto& [i, k] : chunk.a_tiles) {
-                res.a.erase(tile_key(i, k));
-              }
-              dev.release(static_cast<std::size_t>(chunk.a_bytes));
-            });
+        const TaskId unload =
+            add_task(graph, dq, TaskKind::kChunkUnload, node, bi, ci);
         chunk_unloads.push_back(unload);
 
         // Dataflow: load -> gemms -> unload (or load -> unload directly
@@ -494,34 +566,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
       }
 
       // --- Store task: flush C to the host store, free the block. ---
-      const TaskId store = graph.add_task(
-          "store(n" + std::to_string(n) + ",b" + std::to_string(bi) + ")",
-          dq, [&ns, &res, &dev, &block, persistent_b] {
-            std::lock_guard lock(res.mutex);
-            {
-              std::lock_guard node_lock(ns.mutex);
-              for (auto& [key, tile] : res.c) {
-                const auto it = ns.c_store.find(key);
-                if (it == ns.c_store.end()) {
-                  ns.c_store.emplace(key, std::move(tile));
-                } else {
-                  it->second.axpy(1.0, tile);  // segmented-column reduce
-                }
-              }
-            }
-            res.c.clear();
-            res.b.clear();
-            // Drop the gen tasks' pins now that no view of the tiles is
-            // left (session mode took none).
-            if (!persistent_b) {
-              for (const ColumnPiece& piece : block.pieces) {
-                for (const std::uint32_t k : piece.ks) {
-                  ns.b->release(k, piece.col);
-                }
-              }
-            }
-            dev.release(static_cast<std::size_t>(block.bytes));
-          });
+      const TaskId store = add_task(graph, dq, TaskKind::kStore, node, bi);
       for (const auto& gemms : chunk_gemms) {
         for (const TaskId g : gemms) graph.add_edge(g, store, EdgeKind::kData);
       }
@@ -552,19 +597,122 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
     }
   }
 
-  BSTC_CHECK(graph.is_acyclic());
-  const SchedulerStats sched = run_graph(graph, num_queues);
+  graph.seal();
+  BSTC_CHECK(graph.queues() <= low.num_queues);
+  low.stats = compute_stats(plan, a_shape, b_shape, c_shape, cfg.a_bcast,
+                            cfg.node_of_rank);
+  obs::Registry::instance().counter_add("bstc_plan_lowerings_total");
+  return lowered;
+}
+
+EngineResult contract_lowered(const ExecutionPlan& plan,
+                              const LoweredPlan& lowered,
+                              const BlockSparseMatrix& a,
+                              const Shape& b_shape,
+                              const TileGenerator& b_generator,
+                              const Shape& c_shape,
+                              const BlockSparseMatrix* c_init,
+                              const MachineModel& machine,
+                              const EngineConfig& cfg) {
+  if (!lowered.fits(cfg)) {
+    return contract_with_plan(plan, a, b_shape, b_generator, c_shape, c_init,
+                              machine, cfg);
+  }
+  require_conformant(a, b_shape, c_init);
+
+  Timer timer;
+  const int num_nodes = plan.grid.nodes();
+  const bool distributed = cfg.local_rank >= 0;
+  if (distributed) {
+    BSTC_REQUIRE(cfg.transport != nullptr,
+                 "distributed execution needs an external transport");
+  }
+
+  // Lanes lend their divisible work (gemmbatch column panels or item
+  // ranges, a piece's missing B tiles) to the host's otherwise idle cores.
+  const bool persistent_b = cfg.b_cache != nullptr;
+  CallState call(plan, lowered, a, b_shape, c_shape,
+                 ComputePool::process(ranks_on_host(cfg)), persistent_b);
+
+  for (int n = 0; n < num_nodes; ++n) {
+    for (int g = 0; g < plan.gpus_of_node[static_cast<std::size_t>(n)]; ++g) {
+      std::string name = "node";
+      name.append(std::to_string(n)).append(".gpu").append(std::to_string(g));
+      call.devices.push_back(std::make_unique<DeviceMemory>(
+          std::move(name),
+          static_cast<std::size_t>(machine.node.gpu.memory_bytes)));
+    }
+  }
+
+  // Node state (per-rank on-demand B, C accumulation store). In session
+  // mode (cfg.b_cache) the caches are caller-owned and survive this call;
+  // otherwise they are fresh and die with it.
+  std::vector<std::unique_ptr<TileSource>> owned_b;
+  if (persistent_b && cfg.b_cache->empty()) {
+    for (int n = 0; n < num_nodes; ++n) {
+      cfg.b_cache->push_back(
+          std::make_unique<OnDemandMatrix>(b_shape, b_generator));
+    }
+  }
+  if (persistent_b) {
+    BSTC_REQUIRE(cfg.b_cache->size() == static_cast<std::size_t>(num_nodes),
+                 "b_cache was filled for a different grid");
+  }
+  call.node_states = std::vector<NodeState>(static_cast<std::size_t>(num_nodes));
+  for (int n = 0; n < num_nodes; ++n) {
+    call.node_states[static_cast<std::size_t>(n)].b =
+        persistent_b
+            ? (*cfg.b_cache)[static_cast<std::size_t>(n)].get()
+            : owned_b
+                  .emplace_back(
+                      std::make_unique<OnDemandMatrix>(b_shape, b_generator))
+                  .get();
+  }
+
+  // Optional explicit message transport for remote A tiles. An external
+  // transport (distributed mode) replaces the engine-private one; its
+  // recorder accumulates across calls, so traffic is measured as a delta.
+  std::unique_ptr<Transport> owned_transport;
+  call.transport = cfg.transport;
+  if (lowered.messaged && call.transport == nullptr) {
+    owned_transport = std::make_unique<Transport>(num_nodes);
+    call.transport = owned_transport.get();
+  }
+  Transport* const transport = call.transport;
+  if (transport != nullptr) {
+    BSTC_REQUIRE(transport->nodes() == num_nodes,
+                 "transport was built for a different grid");
+  }
+  const double transport_bytes_before =
+      transport != nullptr ? transport->recorder().total_bytes() : 0.0;
+
+  call.residences.resize(static_cast<std::size_t>(num_nodes));
+  for (int n = 0; n < num_nodes; ++n) {
+    const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
+    auto& node_res = call.residences[static_cast<std::size_t>(n)];
+    node_res = std::vector<BlockResidence>(node_plan.blocks.size());
+    for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
+      auto& host_b = node_res[bi].host_b;
+      for (const ColumnPiece& piece : node_plan.blocks[bi].pieces) {
+        host_b.emplace_back(piece.ks.size(), nullptr);
+      }
+    }
+  }
+
+  const SchedulerStats sched =
+      run_graph(lowered.graph, lowered.num_queues, call);
 
   // --- Assemble the global C and count return traffic. ---
   // The first contribution to a tile is moved in (a GEMM that starts
   // from +0.0 never yields -0.0, so this equals adding it to zero
   // bitwise); later ones (segmented columns, several nodes) are added.
   // Only tiles nobody computed are zero-allocated.
+  CommRecorder& comm = call.comm;
   EngineResult result;
   std::unordered_map<std::uint64_t, Tile> assembled;  // key (i, j)
   for (int n = 0; n < num_nodes; ++n) {
     if (distributed && n != cfg.local_rank) continue;
-    NodeState& ns = node_states[static_cast<std::size_t>(n)];
+    NodeState& ns = call.node_states[static_cast<std::size_t>(n)];
     const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
     for (auto& [key, tile] : ns.c_store) {
       const auto i = static_cast<std::uint32_t>(key >> 32);
@@ -612,9 +760,8 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
         transport->recorder().total_bytes() - transport_bytes_before;
   }
   result.tasks_executed = sched.tasks_executed;
-  result.plan_stats = compute_stats(plan, a.shape(), b_shape, c_shape,
-                                    cfg.a_bcast, cfg.node_of_rank);
-  for (const auto& dev : devices) {
+  result.plan_stats = lowered.stats;
+  for (const auto& dev : call.devices) {
     result.device_peak_bytes.push_back(dev->peak_used());
   }
   result.wall_seconds = timer.elapsed_s();

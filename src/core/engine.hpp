@@ -9,7 +9,9 @@
 /// tile GEMMs on device queues, dataflow edges for real dependencies and
 /// control edges reproducing the paper's memory-pressure constraints
 /// (blocks sequential per GPU, one chunk of prefetch) — and executed by
-/// the multi-queue scheduler with hard device-memory budgets.
+/// the multi-queue scheduler with hard device-memory budgets. Lowering is
+/// its own immutable step (lower_plan), so a plan that is executed many
+/// times is lowered once and its graph replayed (contract_lowered).
 ///
 /// Devices here are worker threads with enforced memory capacities rather
 /// than CUDA devices; each lane borrows the host's idle cores from the
@@ -34,6 +36,7 @@
 #include "machine/machine.hpp"
 #include "plan/plan.hpp"
 #include "plan/stats.hpp"
+#include "runtime/task_graph.hpp"
 
 namespace bstc {
 
@@ -128,7 +131,9 @@ EngineResult contract(const BlockSparseMatrix& a, const Shape& b_shape,
 /// inspect-once / execute-many workflow: CCSD refines T over 10-20
 /// iterations against a *fixed* V, so the inspector runs once and its plan
 /// is replayed every iteration. The plan must have been built for these
-/// shapes and this machine (validate_plan checks the former).
+/// shapes and this machine (validate_plan checks the former). Lowers the
+/// plan and runs contract_lowered; callers that execute one plan many
+/// times keep its lowering instead.
 EngineResult contract_with_plan(const ExecutionPlan& plan,
                                 const BlockSparseMatrix& a,
                                 const Shape& b_shape,
@@ -137,5 +142,78 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                 const BlockSparseMatrix* c_init,
                                 const MachineModel& machine,
                                 const EngineConfig& cfg);
+
+/// What an engine task does; the TaskNode operands it reads are listed
+/// beside each kind (node = the rank, block = its block index).
+enum class TaskKind : std::uint8_t {
+  kASend,        ///< index = entry of LoweredPlan::a_sends
+  kGen,          ///< node, block, index = piece
+  kLoad,         ///< node, block, index = piece
+  kChunkLoad,    ///< node, block, index = chunk
+  kGemmBatch,    ///< node, block, index = entry of LoweredPlan::groups
+  kChunkUnload,  ///< node, block, index = chunk
+  kStore,        ///< node, block
+};
+
+/// An ExecutionPlan lowered to the executor's task graph for one problem
+/// (shapes, machine) and the engine fields listed last. Immutable once
+/// built: any number of calls, concurrent ones included, run the same
+/// lowering, and each builds only its own per-call state (block
+/// residences, node states, device trackers). The lowering refers to the
+/// plan by index, so it must be executed with the plan it was built from.
+struct LoweredPlan {
+  /// One collective A broadcast: tile (i, k) from its home rank to every
+  /// consumer rank (ascending).
+  struct ASend {
+    std::uint32_t i = 0;
+    std::uint32_t k = 0;
+    int home = 0;
+    std::vector<int> consumers;
+  };
+
+  TaskGraph graph;  ///< sealed: acyclic, queue ids below num_queues
+  /// Queues [0, nodes) are the ranks' CPU queues (B generation), then one
+  /// queue per device, rank by rank.
+  std::uint32_t num_queues = 0;
+  std::vector<GemmGroup> groups;  ///< the gemmbatch tasks' operands
+  /// prefetch_depth[node][block]: A chunks of the block resident at once.
+  std::vector<std::vector<int>> prefetch_depth;
+  std::vector<ASend> a_sends;  ///< the asend tasks' operands
+  PlanStats stats;             ///< analytic statistics of the plan
+
+  // The engine fields the lowering read.
+  bool messaged = false;  ///< explicit_messages or an external transport
+  int local_rank = -1;
+  BcastSelect a_bcast = BcastSelect::kUnicast;
+  std::vector<int> node_of_rank;
+
+  /// Whether a call configured by `cfg` may run this lowering.
+  bool fits(const EngineConfig& cfg) const;
+};
+
+/// Lower `plan` (built for these shapes and this machine) to its task
+/// graph, checking the graph once: it must be acyclic, and each block must
+/// leave device memory for its largest A chunk. Counts one
+/// `bstc_plan_lowerings_total`.
+std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
+                                              const Shape& a_shape,
+                                              const Shape& b_shape,
+                                              const Shape& c_shape,
+                                              const MachineModel& machine,
+                                              const EngineConfig& cfg);
+
+/// Execute `plan` by replaying `lowered`, a lowering of it for these
+/// shapes and this machine. When `lowered` does not fit `cfg` (it was
+/// lowered with other engine fields) the call lowers the plan afresh for
+/// itself instead.
+EngineResult contract_lowered(const ExecutionPlan& plan,
+                              const LoweredPlan& lowered,
+                              const BlockSparseMatrix& a,
+                              const Shape& b_shape,
+                              const TileGenerator& b_generator,
+                              const Shape& c_shape,
+                              const BlockSparseMatrix* c_init,
+                              const MachineModel& machine,
+                              const EngineConfig& cfg);
 
 }  // namespace bstc

@@ -1,13 +1,12 @@
 #include "runtime/scheduler.hpp"
 
-#include <atomic>
+#include <pthread.h>
+
 #include <condition_variable>
-#include <deque>
 #include <exception>
+#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
@@ -16,104 +15,243 @@
 namespace bstc {
 namespace {
 
-/// Shared state of one scheduler run.
-struct RunState {
-  explicit RunState(std::uint32_t queues)
-      : ready(queues), executed_per_queue(queues, 0) {}
+/// Shared state of one run_graph call, guarded by its team's mutex. Each
+/// task is released into its queue exactly once, so queue q's ready FIFO
+/// is the slice [graph.queue_begin(q), graph.queue_begin(q + 1)) of
+/// `ready`, filled at `tail[q]` and drained at `head[q]`.
+struct Run {
+  Run(const TaskGraph& g, std::uint32_t num_queues, TaskDispatch& d)
+      : graph(g),
+        dispatch(d),
+        queues(num_queues),
+        traced(obs::Registry::instance().enabled()),
+        deps(g.size()),
+        ready(g.size()),
+        head(num_queues),
+        tail(num_queues),
+        executed(num_queues, 0),
+        remaining(g.size()) {
+    for (std::uint32_t q = 0; q < queues; ++q) {
+      head[q] = tail[q] = q < g.queues()
+                              ? g.queue_begin(q)
+                              : static_cast<std::uint32_t>(g.size());
+    }
+    for (std::size_t t = 0; t < g.size(); ++t) {
+      const TaskNode& task = g.task(static_cast<TaskId>(t));
+      deps[t] = task.predecessors;
+      if (deps[t] == 0) ready[tail[task.queue]++] = static_cast<TaskId>(t);
+    }
+  }
 
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<std::deque<TaskId>> ready;
-  std::vector<std::size_t> executed_per_queue;
-  std::size_t remaining = 0;  ///< tasks not yet executed
+  const TaskGraph& graph;
+  TaskDispatch& dispatch;
+  const std::uint32_t queues;
+  const bool traced;
+  std::vector<std::uint32_t> deps;  ///< unmet dependences per task
+  std::vector<TaskId> ready;
+  std::vector<std::uint32_t> head, tail;
+  std::vector<std::size_t> executed;  ///< per queue
+  std::size_t remaining;              ///< tasks not yet executed
+  std::uint32_t lanes_left = 0;       ///< lanes still inside the run
   bool aborted = false;
   std::exception_ptr error;
 };
 
+/// Persistent lane threads serving one run at a time: lane q serves
+/// queue q. Teams are never destroyed (their lanes may still be parked
+/// when static destructors run), like the ComputePool.
+class LaneTeam {
+ public:
+  /// Serve `run` on lanes 0 .. run.queues - 1, starting lanes the team
+  /// lacks; returns once every one of them has left the run.
+  void execute(Run& run);
+
+ private:
+  void lane_main(std::uint32_t q);
+  /// Lane q's part of `run`; `lock` is held on entry and exit.
+  void serve(Run& run, std::uint32_t q, std::unique_lock<std::mutex>& lock);
+
+  std::mutex mutex_;
+  std::condition_variable done_;  ///< lanes parked, or a run's lanes left
+  /// One wake-up per lane, so a release wakes only the lane it feeds.
+  std::vector<std::unique_ptr<std::condition_variable>> wake_;
+  Run* run_ = nullptr;     ///< the run being served
+  std::uint64_t runs_ = 0; ///< runs posted; a lane joins each one once
+  std::size_t parked_ = 0; ///< lanes that reached their loop
+  std::vector<std::thread> lanes_;
+};
+
+void LaneTeam::execute(Run& run) {
+  std::unique_lock lock(mutex_);
+  const std::size_t had = lanes_.size();
+  while (lanes_.size() < run.queues) {
+    const auto q = static_cast<std::uint32_t>(lanes_.size());
+    wake_.push_back(std::make_unique<std::condition_variable>());
+    try {
+      lanes_.emplace_back([this, q] { lane_main(q); });
+    } catch (...) {
+      wake_.pop_back();
+      throw;
+    }
+  }
+  // Post only to parked lanes (a lane joins the runs posted after it
+  // parked), and let a fork() right after never catch a lane inside its
+  // thread start-up (see ComputePool).
+  done_.wait(lock, [this] { return parked_ == lanes_.size(); });
+  if (lanes_.size() > had) {
+    obs::Registry::instance().counter_add("bstc_lanes_started_total",
+                                          lanes_.size() - had);
+  }
+  run.lanes_left = run.queues;
+  run_ = &run;
+  ++runs_;
+  for (std::uint32_t q = 0; q < run.queues; ++q) wake_[q]->notify_one();
+  done_.wait(lock, [&run] { return run.lanes_left == 0; });
+  run_ = nullptr;
+}
+
+void LaneTeam::lane_main(std::uint32_t q) {
+  std::unique_lock lock(mutex_);
+  if (++parked_ == lanes_.size()) done_.notify_all();
+  std::uint64_t joined = runs_;
+  while (true) {
+    wake_[q]->wait(lock, [&] {
+      return runs_ != joined && run_ != nullptr && q < run_->queues;
+    });
+    joined = runs_;
+    Run& run = *run_;
+    serve(run, q, lock);
+    if (--run.lanes_left == 0) done_.notify_all();
+  }
+}
+
+void LaneTeam::serve(Run& run, std::uint32_t q,
+                     std::unique_lock<std::mutex>& lock) {
+  obs::Registry& reg = obs::Registry::instance();
+  bool lane_named = false;
+  while (true) {
+    wake_[q]->wait(lock, [&] {
+      return run.aborted || run.remaining == 0 || run.head[q] != run.tail[q];
+    });
+    if (run.aborted || run.remaining == 0) return;
+    const TaskId id = run.ready[run.head[q]++];
+    lock.unlock();
+
+    try {
+      const TaskNode& task = run.graph.task(id);
+      if (run.traced && !lane_named) {
+        reg.name_lane(q, "queue " + std::to_string(q));
+        lane_named = true;
+      }
+      const double start = run.traced ? reg.now() : 0.0;
+      run.dispatch.run(task);
+      if (run.traced) {
+        const double end = reg.now();
+        std::string name;
+        run.dispatch.name(task, name);
+        reg.record(obs::Category::kTask, std::move(name), q, start, end);
+      }
+    } catch (...) {
+      lock.lock();
+      if (!run.error) run.error = std::current_exception();
+      run.aborted = true;
+      for (std::uint32_t p = 0; p < run.queues; ++p) wake_[p]->notify_one();
+      return;
+    }
+
+    lock.lock();
+    ++run.executed[q];
+    --run.remaining;
+    for (const TaskId s : run.graph.successors(id)) {
+      if (--run.deps[s] == 0) {
+        const std::uint32_t sq = run.graph.task(s).queue;
+        run.ready[run.tail[sq]++] = s;
+        if (sq != q) wake_[sq]->notify_one();
+      }
+    }
+    if (run.remaining == 0) {
+      for (std::uint32_t p = 0; p < run.queues; ++p) wake_[p]->notify_one();
+    }
+  }
+}
+
+// Idle teams, most recently returned on top: sequential runs reuse one
+// team whatever thread calls, so its lanes (and their malloc arenas) stay
+// the same; concurrent runs take one team each. A forked child has none
+// of these lanes, so the fork handler sets every team aside (kept
+// reachable, never touched) and the child starts its own. Holding the
+// mutex across fork() keeps a concurrent borrow from leaving it locked in
+// the child.
+std::mutex g_teams_mutex;
+std::vector<LaneTeam*>* g_idle_teams = nullptr;
+std::vector<LaneTeam*>* g_all_teams = nullptr;
+std::vector<LaneTeam*>* g_inherited_teams = nullptr;
+std::once_flag g_fork_handlers;
+
+void lock_for_fork() { g_teams_mutex.lock(); }
+void unlock_after_fork() { g_teams_mutex.unlock(); }
+void reset_in_child() {
+  if (g_all_teams != nullptr) {
+    if (g_inherited_teams == nullptr) {
+      g_inherited_teams = new std::vector<LaneTeam*>;
+    }
+    g_inherited_teams->insert(g_inherited_teams->end(), g_all_teams->begin(),
+                              g_all_teams->end());
+    g_all_teams->clear();
+    g_idle_teams->clear();
+  }
+  g_teams_mutex.unlock();
+}
+
+LaneTeam& borrow_team() {
+  std::call_once(g_fork_handlers, [] {
+    pthread_atfork(lock_for_fork, unlock_after_fork, reset_in_child);
+  });
+  std::lock_guard lock(g_teams_mutex);
+  if (g_all_teams == nullptr) {
+    g_all_teams = new std::vector<LaneTeam*>;
+    g_idle_teams = new std::vector<LaneTeam*>;
+  }
+  if (g_idle_teams->empty()) {
+    g_all_teams->push_back(new LaneTeam);
+    g_idle_teams->reserve(g_all_teams->size());
+    return *g_all_teams->back();
+  }
+  LaneTeam* team = g_idle_teams->back();
+  g_idle_teams->pop_back();
+  return *team;
+}
+
+void return_team(LaneTeam& team) {
+  std::lock_guard lock(g_teams_mutex);
+  g_idle_teams->push_back(&team);  // reserved in borrow_team: no malloc
+}
+
 }  // namespace
 
-SchedulerStats run_graph(TaskGraph& graph, std::uint32_t num_queues) {
+SchedulerStats run_graph(const TaskGraph& graph, std::uint32_t num_queues,
+                         TaskDispatch& dispatch) {
   BSTC_REQUIRE(num_queues > 0, "need at least one queue");
-  BSTC_REQUIRE(graph.is_acyclic(), "task graph has a cycle");
-  for (std::size_t t = 0; t < graph.size(); ++t) {
-    BSTC_REQUIRE(graph.task(static_cast<TaskId>(t)).queue < num_queues,
-                 "task bound to a non-existent queue");
-  }
+  BSTC_REQUIRE(graph.sealed(), "task graph must be sealed before it runs");
+  BSTC_REQUIRE(graph.queues() <= num_queues,
+               "task bound to a non-existent queue");
 
   Timer timer;
-  RunState state(num_queues);
-  std::vector<std::uint32_t> deps(graph.size());
-  {
-    std::lock_guard lock(state.mutex);
-    state.remaining = graph.size();
-    for (std::size_t t = 0; t < graph.size(); ++t) {
-      const auto id = static_cast<TaskId>(t);
-      deps[t] = graph.task(id).predecessors;
-      if (deps[t] == 0) state.ready[graph.task(id).queue].push_back(id);
-    }
+  Run run(graph, num_queues, dispatch);
+  if (run.remaining > 0) {
+    LaneTeam& team = borrow_team();
+    struct Return {
+      LaneTeam& team;
+      ~Return() { return_team(team); }
+    } give_back{team};
+    team.execute(run);
   }
-
-  obs::Registry& reg = obs::Registry::instance();
-  const bool traced = reg.enabled();
-  auto worker = [&graph, &state, &deps, &reg, traced](std::uint32_t queue) {
-    bool lane_named = false;
-    std::unique_lock lock(state.mutex);
-    while (true) {
-      state.cv.wait(lock, [&] {
-        return state.aborted || state.remaining == 0 ||
-               !state.ready[queue].empty();
-      });
-      if (state.aborted || state.remaining == 0) return;
-      const TaskId id = state.ready[queue].front();
-      state.ready[queue].pop_front();
-      lock.unlock();
-
-      try {
-        const TaskNode& node = graph.task(id);
-        if (traced && !lane_named) {
-          reg.name_lane(queue, "queue " + std::to_string(queue));
-          lane_named = true;
-        }
-        const double start = traced ? reg.now() : 0.0;
-        if (node.body) node.body();
-        if (traced) {
-          reg.record(obs::Category::kTask, node.name, queue, start, reg.now());
-        }
-      } catch (...) {
-        lock.lock();
-        if (!state.error) state.error = std::current_exception();
-        state.aborted = true;
-        state.cv.notify_all();
-        return;
-      }
-
-      lock.lock();
-      ++state.executed_per_queue[queue];
-      --state.remaining;
-      bool woke_other = false;
-      for (const TaskId s : graph.task(id).successors) {
-        if (--deps[s] == 0) {
-          state.ready[graph.task(s).queue].push_back(s);
-          if (graph.task(s).queue != queue) woke_other = true;
-        }
-      }
-      if (state.remaining == 0 || woke_other) state.cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(num_queues);
-  for (std::uint32_t qid = 0; qid < num_queues; ++qid) {
-    threads.emplace_back(worker, qid);
-  }
-  for (std::thread& t : threads) t.join();
-
-  if (state.error) std::rethrow_exception(state.error);
-  BSTC_CHECK(state.remaining == 0);
+  if (run.error) std::rethrow_exception(run.error);
+  BSTC_CHECK(run.remaining == 0);
 
   SchedulerStats stats;
   stats.wall_seconds = timer.elapsed_s();
-  stats.per_queue = state.executed_per_queue;
+  stats.per_queue = run.executed;
   for (const std::size_t n : stats.per_queue) stats.tasks_executed += n;
   return stats;
 }

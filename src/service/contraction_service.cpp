@@ -29,6 +29,9 @@ const char* service_status_name(ServiceStatus status) {
 struct ContractionService::Session {
   SessionConfig cfg;
   PlanCache::PlanPtr plan;
+  /// The plan's lowering for cfg.engine: the cached one, or the session's
+  /// own when the cached one was lowered with other engine fields.
+  std::shared_ptr<const LoweredPlan> lowered;
   std::uint64_t fingerprint = 0;
   /// Per-node B sources shared across iterations (engine session mode).
   /// Generator caches by default; zero-copy shared-store sources when
@@ -81,6 +84,23 @@ ServiceStatus validate_problem(const Shape& a, const Shape* b,
     return ServiceStatus::kInvalidRequest;
   }
   return ServiceStatus::kOk;
+}
+
+/// The cached plan and lowering of a problem, built (inspector, then
+/// lowering for `engine`) by one single-flight build on a miss.
+PlanCache::PlanPtr resolve_plan(PlanCache& cache, std::uint64_t fingerprint,
+                                const Shape& a, const Shape& b,
+                                const Shape& c, const MachineModel& machine,
+                                const EngineConfig& engine, bool* hit,
+                                double* build_s) {
+  return cache.get_or_build(
+      fingerprint,
+      [&] {
+        CachedPlan built{build_plan(a, b, c, machine, engine.plan), nullptr};
+        built.lowered = lower_plan(built.plan, a, b, c, machine, engine);
+        return built;
+      },
+      hit, build_s);
 }
 
 }  // namespace
@@ -191,13 +211,10 @@ void ContractionService::process(Job& job) {
       resp.fingerprint = fingerprint_problem(
           req.a->shape(), *req.b_shape, *req.c_shape, req.machine,
           req.engine.plan);
-      const PlanCache::PlanPtr plan = cache_.get_or_build(
-          resp.fingerprint,
-          [&req] {
-            return build_plan(req.a->shape(), *req.b_shape, *req.c_shape,
-                              req.machine, req.engine.plan);
-          },
-          &resp.plan_cache_hit, &resp.inspect_s);
+      const PlanCache::PlanPtr cached = resolve_plan(
+          cache_, resp.fingerprint, req.a->shape(), *req.b_shape,
+          *req.c_shape, req.machine, req.engine, &resp.plan_cache_hit,
+          &resp.inspect_s);
       resp.start_latency_s = job.since_submit.elapsed_s();
       EngineConfig engine = req.engine;
       // Service-owned B backend: zero-copy store sources when the
@@ -205,8 +222,8 @@ void ContractionService::process(Job& job) {
       // caches (engine-filled when b_cache is null).
       std::vector<std::unique_ptr<TileSource>> request_b;
       if (req.b_source_factory) {
-        request_b.reserve(plan->nodes.size());
-        for (std::size_t n = 0; n < plan->nodes.size(); ++n) {
+        request_b.reserve(cached->plan.nodes.size());
+        for (std::size_t n = 0; n < cached->plan.nodes.size(); ++n) {
           request_b.push_back(req.b_source_factory());
         }
         engine.b_cache = &request_b;
@@ -214,9 +231,9 @@ void ContractionService::process(Job& job) {
         engine.b_cache = nullptr;
       }
       Timer exec;
-      EngineResult result =
-          contract_with_plan(*plan, *req.a, *req.b_shape, req.b_generator,
-                             *req.c_shape, req.c_init, req.machine, engine);
+      EngineResult result = contract_lowered(
+          cached->plan, *cached->lowered, *req.a, *req.b_shape,
+          req.b_generator, *req.c_shape, req.c_init, req.machine, engine);
       resp.execute_s = exec.elapsed_s();
       resp.tasks_executed = result.tasks_executed;
       resp.b_max_generations = result.b_max_generations;
@@ -232,7 +249,7 @@ void ContractionService::process(Job& job) {
       if (session.cfg.persistent_b) {
         engine.b_cache = &session.b_cache;
       } else if (session.cfg.b_source_factory) {
-        for (std::size_t n = 0; n < session.plan->nodes.size(); ++n) {
+        for (std::size_t n = 0; n < session.plan->plan.nodes.size(); ++n) {
           iteration_b.push_back(session.cfg.b_source_factory());
         }
         engine.b_cache = &iteration_b;
@@ -240,8 +257,8 @@ void ContractionService::process(Job& job) {
         engine.b_cache = nullptr;
       }
       Timer exec;
-      EngineResult result = contract_with_plan(
-          *session.plan, *job.a, session.cfg.b_shape,
+      EngineResult result = contract_lowered(
+          session.plan->plan, *session.lowered, *job.a, session.cfg.b_shape,
           session.cfg.b_generator, session.cfg.c_shape, job.c_init,
           session.cfg.machine, engine);
       resp.execute_s = exec.elapsed_s();
@@ -299,13 +316,14 @@ ServiceStatus ContractionService::open_session(const SessionConfig& cfg,
   try {
     double inspect_s = 0.0;
     bool hit = false;
-    session->plan = cache_.get_or_build(
-        session->fingerprint,
-        [&cfg] {
-          return build_plan(cfg.a_shape, cfg.b_shape, cfg.c_shape,
-                            cfg.machine, cfg.engine.plan);
-        },
-        &hit, &inspect_s);
+    session->plan =
+        resolve_plan(cache_, session->fingerprint, cfg.a_shape, cfg.b_shape,
+                     cfg.c_shape, cfg.machine, cfg.engine, &hit, &inspect_s);
+    session->lowered =
+        session->plan->lowered->fits(cfg.engine)
+            ? session->plan->lowered
+            : lower_plan(session->plan->plan, cfg.a_shape, cfg.b_shape,
+                         cfg.c_shape, cfg.machine, cfg.engine);
     std::lock_guard lock(mutex_);
     metrics_.total_inspect_s += inspect_s;
   } catch (const std::exception&) {
@@ -315,7 +333,7 @@ ServiceStatus ContractionService::open_session(const SessionConfig& cfg,
   // its per-node B slots to zero-copy sources up front, so no iteration
   // ever generates a tile locally.
   if (cfg.b_source_factory && cfg.persistent_b) {
-    for (std::size_t n = 0; n < session->plan->nodes.size(); ++n) {
+    for (std::size_t n = 0; n < session->plan->plan.nodes.size(); ++n) {
       session->b_cache.push_back(cfg.b_source_factory());
     }
   }
@@ -414,13 +432,10 @@ ServiceStatus ContractionService::explain(
     bool hit = false;
     const std::uint64_t fp =
         fingerprint_problem(a_shape, b_shape, c_shape, machine, engine.plan);
-    const PlanCache::PlanPtr plan = cache_.get_or_build(
-        fp,
-        [&] {
-          return build_plan(a_shape, b_shape, c_shape, machine, engine.plan);
-        },
-        &hit, &inspect_s);
-    text = explain_plan(*plan, a_shape, b_shape, c_shape);
+    const PlanCache::PlanPtr cached = resolve_plan(
+        cache_, fp, a_shape, b_shape, c_shape, machine, engine, &hit,
+        &inspect_s);
+    text = explain_plan(cached->plan, a_shape, b_shape, c_shape);
     if (cache_hit != nullptr) *cache_hit = hit;
     std::lock_guard lock(mutex_);
     metrics_.total_inspect_s += inspect_s;

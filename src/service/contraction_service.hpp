@@ -20,14 +20,16 @@
 ///    admission control, not unbounded buffering;
 ///  * status codes at the boundary: no exception escapes the service;
 ///  * sessions model the full CCSD loop: open_session() resolves the plan
-///    once, iterate() replays it against refreshed A values while keeping
+///    and its task graph once, iterate() replays them against refreshed A values while keeping
 ///    the generated B tiles cached across iterations, close() releases
 ///    everything. trim_session() bounds the host B footprint in between.
 ///
 /// Thread model: submit()/iterate() may be called from any number of
 /// threads; callers block until their own request finishes (or is
-/// rejected). Workers execute requests; the engine itself spins up its
-/// queue threads per execution.
+/// rejected). Workers execute requests. A plan-cache entry holds the
+/// plan's task graph beside it (core/engine.hpp LoweredPlan), built in the
+/// same single-flight build, so a hit replays the graph without lowering
+/// it again; the graph runs on the scheduler's persistent lane threads.
 
 #include <condition_variable>
 #include <cstdint>
@@ -93,7 +95,7 @@ struct ContractionResponse {
   std::uint64_t fingerprint = 0; ///< problem identity hash
   bool plan_cache_hit = false;   ///< plan served without running the inspector
   double queue_wait_s = 0.0;     ///< submit() to worker pickup
-  double inspect_s = 0.0;        ///< inspector time (0 on a cache hit)
+  double inspect_s = 0.0;        ///< inspector + lowering (0 on a hit)
   double execute_s = 0.0;        ///< executor wall-clock
   double start_latency_s = 0.0;  ///< submit() to execution start
   std::size_t tasks_executed = 0;

@@ -64,7 +64,7 @@ PlanCache::PlanPtr PlanCache::get_or_build(std::uint64_t key,
   Timer timer;
   try {
     obs::ScopedSpan span(obs::Category::kPlan, "plan-build");
-    PlanPtr plan = std::make_shared<const ExecutionPlan>(build());
+    PlanPtr plan = std::make_shared<const CachedPlan>(build());
     const double seconds = timer.elapsed_s();
     {
       std::lock_guard lock(mutex_);

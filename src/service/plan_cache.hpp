@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file plan_cache.hpp
-/// Capacity-bounded LRU cache of ExecutionPlans keyed by problem
-/// fingerprint, with single-flight deduplication of concurrent builds.
+/// Capacity-bounded LRU cache of ExecutionPlans and their task-graph
+/// lowerings keyed by problem fingerprint, with single-flight
+/// deduplication of concurrent builds.
 ///
 /// The inspector is the expensive once-per-problem step (paper §3.2.4);
 /// the serving layer amortizes it across every client that submits the
@@ -20,6 +21,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "core/engine.hpp"
 #include "plan/plan.hpp"
 
 namespace bstc {
@@ -34,13 +36,21 @@ struct PlanCacheStats {
   std::size_t size = 0;           ///< plans currently cached
 };
 
-/// Thread-safe LRU plan cache. Plans are immutable once built and shared
-/// by reference count, so an eviction never invalidates a plan a request
-/// is still executing against.
+/// What one build produces and the cache keeps: the inspector's plan and
+/// its lowering to the executor's task graph (null when the builder
+/// lowered nothing), so a hit skips both.
+struct CachedPlan {
+  ExecutionPlan plan;
+  std::shared_ptr<const LoweredPlan> lowered;
+};
+
+/// Thread-safe LRU plan cache. Entries are immutable once built and
+/// shared by reference count, so an eviction never invalidates a plan or
+/// a lowering a request is still executing against.
 class PlanCache {
  public:
-  using PlanPtr = std::shared_ptr<const ExecutionPlan>;
-  using Builder = std::function<ExecutionPlan()>;
+  using PlanPtr = std::shared_ptr<const CachedPlan>;
+  using Builder = std::function<CachedPlan()>;
 
   /// `capacity` = maximum number of cached plans (>= 1).
   explicit PlanCache(std::size_t capacity);
@@ -48,8 +58,8 @@ class PlanCache {
   /// Return the plan for `key`, building it with `build` on a miss.
   /// Concurrent calls for the same key share one build (single-flight);
   /// joiners count as hits only once the joined build succeeds.
-  /// `build_seconds` (optional) receives the inspector wall-clock (0 on
-  /// a hit), `was_hit` (optional) whether the plan came from cache / a
+  /// `build_seconds` (optional) receives the build's wall-clock, inspector
+  /// and lowering (0 on a hit), `was_hit` (optional) whether the plan came from cache / a
   /// joined build. If `build` throws, every waiter observes the
   /// exception, the key stays absent, and failed_builds increments once.
   PlanPtr get_or_build(std::uint64_t key, const Builder& build,

@@ -530,6 +530,45 @@ TEST(EnginePoolFork, FineTilingSessionOneCpuChildMatchesBitwise) {
                       "16: exception";
 }
 
+TEST(LaneTeamFork, ChildContractsAfterParentUse) {
+  // The parent's runs leave its lane teams parked; a forked child has
+  // none of those threads, so it must start its own lanes instead of
+  // posting to the parent's (it would wait forever), and reproduce the
+  // parent's C bit for bit. fork() keeps this test out of the TSan job.
+  const EngineHarness h(48, 200, 200, 0.7, 0.6, 79);
+  MachineModel machine = MachineModel::summit_gpus(2);
+  machine.node.gpu.memory_bytes = 1.0e6;
+  const EngineResult parent = contract(h.a, h.b_shape, h.b_gen, h.c_shape,
+                                       nullptr, machine, EngineConfig{});
+  ASSERT_GT(counter("bstc_lanes_started_total"), 0u);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(60);  // a child stuck on inherited lanes dies instead of hanging
+    int rc = 0;
+    try {
+      const std::uint64_t started = counter("bstc_lanes_started_total");
+      for (int run = 0; run < 2 && rc == 0; ++run) {
+        const EngineResult child =
+            contract(h.a, h.b_shape, h.b_gen, h.c_shape, nullptr, machine,
+                     EngineConfig{});
+        if (bitwise_mismatches(child.c, parent.c, h.c_shape) != 0) rc = 13;
+      }
+      if (rc == 0 && counter("bstc_lanes_started_total") == started) rc = 12;
+    } catch (...) {
+      rc = 16;
+    }
+    _exit(rc);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed (signal "
+                                 << WTERMSIG(status) << ")";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "12: child started no lanes, 13: C differs bitwise, 16: exception";
+}
+
 /// Parameterized sweep over problem densities and grid shapes.
 class EngineSweep
     : public ::testing::TestWithParam<std::tuple<double, double, int, int>> {};

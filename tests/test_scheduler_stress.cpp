@@ -10,8 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/scheduler.hpp"
-#include "runtime/task_graph.hpp"
+#include "closure_graph.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -45,7 +44,7 @@ struct RandomDag {
     }
   }
 
-  TaskGraph graph;
+  ClosureGraph graph;
   std::vector<std::pair<std::size_t, std::size_t>> edges;
   std::atomic<std::size_t> counter{0};
   std::vector<std::size_t> finish_order;
@@ -60,7 +59,7 @@ TEST_P(SchedulerStress, RandomDagsExecuteTopologically) {
                 static_cast<std::uint32_t>(queues), prob,
                 static_cast<std::uint64_t>(tasks * 31 + queues));
   const SchedulerStats stats =
-      run_graph(dag.graph, static_cast<std::uint32_t>(queues));
+      dag.graph.run(static_cast<std::uint32_t>(queues));
   EXPECT_EQ(stats.tasks_executed, static_cast<std::size_t>(tasks));
   // Every task ran exactly once.
   for (const std::size_t order : dag.finish_order) {
@@ -83,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(500, 2, 0.005)));
 
 TEST(SchedulerStress, DeepChainAcrossQueues) {
-  TaskGraph graph;
+  ClosureGraph graph;
   const int depth = 500;
   std::vector<int> log;
   std::mutex m;
@@ -97,13 +96,13 @@ TEST(SchedulerStress, DeepChainAcrossQueues) {
     if (i > 0) graph.add_edge(prev, t);
     prev = t;
   }
-  run_graph(graph, 5);
+  graph.run(5);
   ASSERT_EQ(log.size(), static_cast<std::size_t>(depth));
   for (int i = 0; i < depth; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
 }
 
 TEST(SchedulerStress, WideFanOutAllQueuesParticipate) {
-  TaskGraph graph;
+  ClosureGraph graph;
   const std::uint32_t queues = 8;
   std::atomic<int> done{0};
   const TaskId root = graph.add_task("root", 0, [] {});
@@ -112,13 +111,13 @@ TEST(SchedulerStress, WideFanOutAllQueuesParticipate) {
         "leaf", static_cast<std::uint32_t>(i) % queues, [&done] { ++done; });
     graph.add_edge(root, t);
   }
-  const SchedulerStats stats = run_graph(graph, queues);
+  const SchedulerStats stats = graph.run(queues);
   EXPECT_EQ(done.load(), 800);
   for (const std::size_t n : stats.per_queue) EXPECT_GT(n, 0u);
 }
 
 TEST(SchedulerStress, ExceptionDoesNotHangWideGraphs) {
-  TaskGraph graph;
+  ClosureGraph graph;
   const TaskId root = graph.add_task("root", 0, [] {});
   for (int i = 0; i < 100; ++i) {
     const TaskId t = graph.add_task("leaf", static_cast<std::uint32_t>(i % 4),
@@ -128,7 +127,7 @@ TEST(SchedulerStress, ExceptionDoesNotHangWideGraphs) {
                                             : std::function<void()>([] {}));
     graph.add_edge(root, t);
   }
-  EXPECT_THROW(run_graph(graph, 4), Error);
+  EXPECT_THROW(graph.run(4), Error);
 }
 
 }  // namespace

@@ -160,9 +160,9 @@ TEST(Fingerprint, EveryComponentPerturbsTheHash) {
 // ---------------------------------------------------------------------------
 // Plan cache
 
-ExecutionPlan tiny_plan() {
+CachedPlan tiny_plan() {
   // Plans in cache tests only need identity, not content.
-  return ExecutionPlan{};
+  return CachedPlan{};
 }
 
 TEST(PlanCache, LruEvictsLeastRecentlyUsed) {
@@ -209,7 +209,7 @@ TEST(PlanCache, SingleFlightBuildsOnce) {
 TEST(PlanCache, BuilderFailurePropagatesAndLeavesKeyAbsent) {
   PlanCache cache(4);
   EXPECT_THROW(
-      (void)cache.get_or_build(9, []() -> ExecutionPlan {
+      (void)cache.get_or_build(9, []() -> CachedPlan {
         throw Error("inspector exploded");
       }),
       Error);
@@ -235,7 +235,7 @@ TEST(PlanCache, JoinersOfAFailedBuildDoNotCountAsHits) {
 
   std::thread owner([&] {
     try {
-      (void)cache.get_or_build(5, [&]() -> ExecutionPlan {
+      (void)cache.get_or_build(5, [&]() -> CachedPlan {
         building = true;
         while (!release) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -254,7 +254,7 @@ TEST(PlanCache, JoinersOfAFailedBuildDoNotCountAsHits) {
     try {
       // The build is in flight (its inflight entry outlives `release`),
       // so this joins it — the builder here must never run.
-      (void)cache.get_or_build(5, []() -> ExecutionPlan {
+      (void)cache.get_or_build(5, []() -> CachedPlan {
         throw Error("joiner built instead of joining");
       });
     } catch (const Error&) {
