@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "plan/plan.hpp"
 #include "support/error.hpp"
 #include "tile/gemm.hpp"
 
@@ -17,7 +18,7 @@ SummaResult summa_multiply(const BlockSparseMatrix& a,
                    c_shape.col_tiling() == b.col_tiling(),
                "C shape must be conformant with the product");
 
-  const CyclicDist2D dist{grid_rows, grid_cols};
+  const GridSpec grid{grid_rows, grid_cols, {}};
   const std::size_t m_t = a.shape().tile_rows();
   const std::size_t k_t = a.shape().tile_cols();
   const std::size_t n_t = b.shape().tile_cols();
@@ -61,7 +62,7 @@ SummaResult summa_multiply(const BlockSparseMatrix& a,
       for (std::size_t j = 0; j < n_t; ++j) {
         if (!b.has_tile(k, j) || !c_shape.nonzero(i, j)) continue;
         const auto rank = static_cast<std::size_t>(
-            dist.node_of(static_cast<std::uint32_t>(i),
+            grid.home_of(static_cast<std::uint32_t>(i),
                          static_cast<std::uint32_t>(j)));
         const Tile& b_tile = b.tile(k, j);
         gemm(1.0, a_tile, b_tile, 1.0, result.c.tile(i, j));

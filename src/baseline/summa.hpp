@@ -16,7 +16,6 @@
 /// (examples/bsp_vs_dataflow).
 
 #include "bsm/block_sparse_matrix.hpp"
-#include "comm/comm.hpp"
 
 namespace bstc {
 

@@ -1,5 +1,7 @@
 #include "comm/transport.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace bstc {
@@ -49,7 +51,7 @@ std::size_t TileMailbox::delivered_count() const {
 }
 
 Transport::Transport(int nodes)
-    : recorder_(nodes), mailboxes_(static_cast<std::size_t>(nodes)) {
+    : mailboxes_(static_cast<std::size_t>(std::max(nodes, 0))) {
   BSTC_REQUIRE(nodes > 0, "need at least one node");
 }
 
@@ -58,8 +60,21 @@ TileMailbox& Transport::mailbox(int node) {
   return mailboxes_[static_cast<std::size_t>(node)];
 }
 
+void Transport::count_bytes(int from, int to, std::size_t bytes) {
+  BSTC_REQUIRE(from >= 0 && from < nodes() && to >= 0 && to < nodes(),
+               "node id out of range");
+  if (from == to) return;
+  std::lock_guard lock(bytes_mutex_);
+  payload_bytes_ += static_cast<double>(bytes);
+}
+
+double Transport::payload_bytes() const {
+  std::lock_guard lock(bytes_mutex_);
+  return payload_bytes_;
+}
+
 void Transport::send(int from, int to, std::uint64_t key, Tile tile) {
-  recorder_.record(from, to, static_cast<double>(tile.bytes()));
+  count_bytes(from, to, tile.bytes());
   mailbox(to).deliver(key, std::move(tile));
 }
 
@@ -67,7 +82,7 @@ void Transport::send_multi(int from, const std::vector<int>& consumers,
                            std::uint64_t key, const Tile& tile) {
   for (const int to : consumers) {
     BSTC_REQUIRE(to != from, "broadcast consumer list contains the root");
-    send(from, to, key, Tile(tile));
+    send(from, to, key, Tile::view(tile.data(), tile.rows(), tile.cols()));
   }
 }
 

@@ -1,15 +1,14 @@
 #pragma once
 
 /// \file transport.hpp
-/// Explicit message transport between ranks.
+/// Message transport between ranks: the only way an A tile reaches a rank
+/// other than its home.
 ///
-/// By default the executor reads remote A tiles directly (with byte
-/// accounting). This transport makes the communication *explicit*: the
-/// home rank runs send tasks that push tile messages into per-rank
-/// mailboxes, and consumers block until their tile has arrived — the
-/// in-process equivalent of the paper's background broadcast, including
-/// the stall behaviour ("execution stalls until the required tiles are
-/// received", §5.1). Enabled via EngineConfig::explicit_messages.
+/// The executor's home ranks run send tasks that push tile messages into
+/// per-rank mailboxes, and consumers block until their tile has arrived —
+/// the paper's background broadcast of A along grid rows (§3.2.4),
+/// including its stall behaviour ("execution stalls until the required
+/// tiles are received", §5.1).
 ///
 /// Transport itself is the in-process implementation (mailboxes + byte
 /// accounting); `send` is virtual so net/NetTransport can carry the same
@@ -23,8 +22,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "comm/comm.hpp"
 #include "tile/tile.hpp"
 
 namespace bstc {
@@ -73,26 +72,35 @@ class Transport {
   int nodes() const { return static_cast<int>(mailboxes_.size()); }
   TileMailbox& mailbox(int node);
 
-  /// Send a tile message: records the bytes (from != to) and delivers
+  /// Send a tile message: counts the bytes (from != to) and delivers
   /// into the destination mailbox. NetTransport requires `from` to be the
   /// local rank and ships remote deliveries over the wire.
   virtual void send(int from, int to, std::uint64_t key, Tile tile);
 
   /// Broadcast one tile from `from` to every rank in `consumers` (which
-  /// must not contain `from`). The in-process base delivers per consumer;
-  /// NetTransport serializes once and routes the collective fanout
-  /// (tree/ring/shm) while keeping the per-consumer byte accounting —
-  /// every consumer's mailbox receives `key` exactly once either way.
+  /// must not contain `from`); every consumer's mailbox receives `key`
+  /// exactly once and its bytes are counted once per consumer. The
+  /// in-process base copies nothing: each consumer receives a Tile::view
+  /// of `tile`, so `tile` must outlive every reader of those mailbox
+  /// entries (the engine broadcasts tiles of its caller's A, which
+  /// outlives the call). NetTransport serializes once and routes the
+  /// collective fanout (tree/ring/shm) instead.
   virtual void send_multi(int from, const std::vector<int>& consumers,
                           std::uint64_t key, const Tile& tile);
 
-  const CommRecorder& recorder() const { return recorder_; }
+  /// Tile payload bytes moved between distinct ranks so far. An external
+  /// transport outlives engine calls, so callers measure deltas.
+  double payload_bytes() const;
 
  protected:
-  CommRecorder recorder_;
+  /// Count `bytes` of payload moving from rank `from` to rank `to`; both
+  /// must be ranks of this transport. A local move is not traffic.
+  void count_bytes(int from, int to, std::size_t bytes);
 
  private:
   std::vector<TileMailbox> mailboxes_;
+  mutable std::mutex bytes_mutex_;
+  double payload_bytes_ = 0.0;  ///< guarded by bytes_mutex_
 };
 
 }  // namespace bstc

@@ -69,7 +69,6 @@ unsigned ranks_on_host(const EngineConfig& cfg) {
 struct NodeState {
   TileSource* b = nullptr;  ///< per-node B backend (paper §4)
   std::unordered_map<std::uint64_t, Tile> c_store;  ///< computed C tiles
-  std::unordered_set<std::uint64_t> a_received;     ///< A tiles fetched
   std::mutex mutex;
 };
 
@@ -98,8 +97,7 @@ struct CallState final : TaskDispatch {
         c_shape(c_shape_),
         pool(pool_),
         persistent_b(persistent_b_),
-        num_nodes(plan_.grid.nodes()),
-        comm(plan_.grid.nodes()) {}
+        num_nodes(plan_.grid.nodes()) {}
 
   void run(const TaskNode& t) override {
     switch (static_cast<TaskKind>(t.kind)) {
@@ -230,28 +228,19 @@ struct CallState final : TaskDispatch {
   }
 
   void chunk_load(const TaskNode& t) {
-    NodeState& ns = node_states[t.node];
     BlockResidence& res = residence_of(t);
     const Chunk& chunk = block_of(t).chunks[t.index];
     const auto n = static_cast<int>(t.node);
     device_of(t).allocate(static_cast<std::size_t>(chunk.a_bytes));
     std::lock_guard lock(res.mutex);
     for (const auto& [i, k] : chunk.a_tiles) {
-      const int home = plan.grid.home_of(i, k);
-      const bool remote = home != n;
-      // Explicit transport: stall until the message arrived (the send
-      // tasks are dependence-free roots, so progress is guaranteed).
-      // Bytes are recorded by the transport. Either source outlives the
-      // run: mailbox entries are never evicted, and `a` is the caller's.
-      const Tile& host = (transport && remote)
+      // A remote tile stalls until its message arrived (the send tasks
+      // are dependence-free roots, so progress is guaranteed). Either
+      // source outlives the run: mailbox entries are never evicted, and
+      // `a` is the caller's.
+      const Tile& host = plan.grid.home_of(i, k) != n
                              ? transport->mailbox(n).wait(tile_key(i, k))
                              : a.tile(i, k);
-      if (!transport && remote) {
-        std::lock_guard node_lock(ns.mutex);
-        if (ns.a_received.insert(tile_key(i, k)).second) {
-          comm.record(home, n, static_cast<double>(host.bytes()));
-        }
-      }
       res.a.emplace(tile_key(i, k), view_of(host));
     }
   }
@@ -323,8 +312,7 @@ struct CallState final : TaskDispatch {
   ComputePool& pool;
   const bool persistent_b;
   const int num_nodes;
-  Transport* transport = nullptr;  ///< null unless A travels as messages
-  CommRecorder comm;
+  Transport* transport = nullptr;  ///< null only on a one-rank grid
   /// Per-device memory trackers, flattened in queue order.
   std::vector<std::unique_ptr<DeviceMemory>> devices;
   std::vector<NodeState> node_states;
@@ -372,8 +360,7 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
 }
 
 bool LoweredPlan::fits(const EngineConfig& cfg) const {
-  return messaged == (cfg.explicit_messages || cfg.transport != nullptr) &&
-         local_rank == cfg.local_rank && a_bcast == cfg.a_bcast &&
+  return local_rank == cfg.local_rank && a_bcast == cfg.a_bcast &&
          node_of_rank == cfg.node_of_rank;
 }
 
@@ -396,7 +383,6 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
     BSTC_REQUIRE(cfg.local_rank < num_nodes,
                  "local_rank out of range for the plan's grid");
   }
-  low.messaged = cfg.explicit_messages || cfg.transport != nullptr;
   low.local_rank = cfg.local_rank;
   low.a_bcast = cfg.a_bcast;
   low.node_of_rank = cfg.node_of_rank;
@@ -413,30 +399,28 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
   }
   low.num_queues = next_queue;
 
-  // Explicit messages for remote A tiles: per consumer node, the unique
-  // remote tiles it needs; their home nodes get root send tasks. Per A
-  // tile: its home rank and the ascending list of consumer ranks. One
-  // *collective* send per tile (not one per consumer) so the transport
-  // can serialize once and fan out tree/ring/shm; ordered map for
-  // deterministic task creation.
+  // Messages for remote A tiles: per consumer node, the unique remote
+  // tiles it needs; their home nodes get root send tasks. Per A tile: its
+  // home rank and the ascending list of consumer ranks. One *collective*
+  // send per tile (not one per consumer) so the transport can serialize
+  // once and fan out tree/ring/shm; ordered map for deterministic task
+  // creation.
   std::map<std::uint64_t, std::pair<int, std::vector<int>>> a_sends;
-  if (low.messaged) {
-    for (int n = 0; n < num_nodes; ++n) {
-      std::unordered_set<std::uint64_t> needed;
-      for (const BlockPlan& block :
-           plan.nodes[static_cast<std::size_t>(n)].blocks) {
-        for (const Chunk& chunk : block.chunks) {
-          for (const auto& [i, k] : chunk.a_tiles) {
-            if (!needed.insert(tile_key(i, k)).second) continue;
-            const int home = plan.grid.home_of(i, k);
-            if (home == n) continue;
-            // Each rank runs only its *own* send tasks in distributed
-            // mode (it holds only its home share of A authoritatively).
-            if (distributed && home != cfg.local_rank) continue;
-            auto& entry = a_sends[tile_key(i, k)];
-            entry.first = home;
-            entry.second.push_back(n);  // ascending: the n loop ascends
-          }
+  for (int n = 0; n < num_nodes; ++n) {
+    std::unordered_set<std::uint64_t> needed;
+    for (const BlockPlan& block :
+         plan.nodes[static_cast<std::size_t>(n)].blocks) {
+      for (const Chunk& chunk : block.chunks) {
+        for (const auto& [i, k] : chunk.a_tiles) {
+          const int home = plan.grid.home_of(i, k);
+          if (home == n) continue;
+          // Each rank runs only its *own* send tasks in distributed mode
+          // (it holds only its home share of A authoritatively).
+          if (distributed && home != cfg.local_rank) continue;
+          if (!needed.insert(tile_key(i, k)).second) continue;
+          auto& entry = a_sends[tile_key(i, k)];
+          entry.first = home;
+          entry.second.push_back(n);  // ascending: the n loop ascends
         }
       }
     }
@@ -669,12 +653,13 @@ EngineResult contract_lowered(const ExecutionPlan& plan,
                   .get();
   }
 
-  // Optional explicit message transport for remote A tiles. An external
-  // transport (distributed mode) replaces the engine-private one; its
-  // recorder accumulates across calls, so traffic is measured as a delta.
+  // The transport of remote A tiles: the caller's, or a private
+  // in-process one when the grid has more than one rank. An external
+  // transport's byte count accumulates across calls, so traffic is
+  // measured as a delta.
   std::unique_ptr<Transport> owned_transport;
   call.transport = cfg.transport;
-  if (lowered.messaged && call.transport == nullptr) {
+  if (call.transport == nullptr && num_nodes > 1) {
     owned_transport = std::make_unique<Transport>(num_nodes);
     call.transport = owned_transport.get();
   }
@@ -684,7 +669,7 @@ EngineResult contract_lowered(const ExecutionPlan& plan,
                  "transport was built for a different grid");
   }
   const double transport_bytes_before =
-      transport != nullptr ? transport->recorder().total_bytes() : 0.0;
+      transport != nullptr ? transport->payload_bytes() : 0.0;
 
   call.residences.resize(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
@@ -707,21 +692,16 @@ EngineResult contract_lowered(const ExecutionPlan& plan,
   // from +0.0 never yields -0.0, so this equals adding it to zero
   // bitwise); later ones (segmented columns, several nodes) are added.
   // Only tiles nobody computed are zero-allocated.
-  CommRecorder& comm = call.comm;
   EngineResult result;
   std::unordered_map<std::uint64_t, Tile> assembled;  // key (i, j)
   for (int n = 0; n < num_nodes; ++n) {
     if (distributed && n != cfg.local_rank) continue;
     NodeState& ns = call.node_states[static_cast<std::size_t>(n)];
-    const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
     for (auto& [key, tile] : ns.c_store) {
       const auto i = static_cast<std::uint32_t>(key >> 32);
       const auto j = static_cast<std::uint32_t>(key & 0xffffffffu);
       result.computed_c_tiles.emplace_back(i, j);
-      const int home = plan.grid.home_of(i, j);
-      if (home != plan.grid.node_id(node_plan.grid_row, node_plan.grid_col)) {
-        comm.record(plan.grid.node_id(node_plan.grid_row, node_plan.grid_col),
-                    home, static_cast<double>(tile.bytes()));
+      if (plan.grid.home_of(i, j) != n) {
         result.c_network_bytes += static_cast<double>(tile.bytes());
       }
       // try_emplace leaves `tile` untouched when the key already exists.
@@ -753,11 +733,9 @@ EngineResult contract_lowered(const ExecutionPlan& plan,
     }
   }
 
-  result.a_network_bytes = comm.total_bytes() - result.c_network_bytes;
-  if (transport) {
-    // Delta, because an external transport's recorder outlives this call.
-    result.a_network_bytes +=
-        transport->recorder().total_bytes() - transport_bytes_before;
+  if (transport != nullptr) {
+    result.a_network_bytes =
+        transport->payload_bytes() - transport_bytes_before;
   }
   result.tasks_executed = sched.tasks_executed;
   result.plan_stats = lowered.stats;

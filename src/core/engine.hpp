@@ -31,7 +31,6 @@
 #include "bsm/on_demand_matrix.hpp"
 #include "bsm/tile_source.hpp"
 #include "comm/bcast.hpp"
-#include "comm/comm.hpp"
 #include "comm/transport.hpp"
 #include "machine/machine.hpp"
 #include "plan/plan.hpp"
@@ -43,17 +42,13 @@ namespace bstc {
 /// Engine configuration.
 struct EngineConfig {
   PlanConfig plan;  ///< inspector knobs (grid rows, memory fractions)
-  /// When true, remote A tiles travel as explicit tile messages: the home
-  /// rank runs send tasks into per-rank mailboxes and consumers block
-  /// until arrival — reproducing the paper's background broadcast
-  /// including its stall behaviour. When false (default) remote reads are
-  /// direct with byte accounting only.
-  bool explicit_messages = false;
-  /// External message transport. When null and messages are explicit, the
-  /// engine creates a private in-process Transport. Supplying one (e.g. a
-  /// net::NetTransport spanning real rank processes) routes every tile
-  /// message through it instead; its CommRecorder accumulates across
-  /// calls and is owned by the caller.
+  /// Message transport for remote A tiles: home ranks run send tasks into
+  /// per-rank mailboxes and consumers block until arrival — the paper's
+  /// background broadcast including its stall behaviour. When null, a
+  /// multi-rank call creates a private in-process Transport that delivers
+  /// views of `a`'s tiles. Supplying one (e.g. a net::NetTransport
+  /// spanning real rank processes) routes every tile message through it;
+  /// its byte count accumulates across calls and is owned by the caller.
   Transport* transport = nullptr;
   /// Distributed single-rank mode. When >= 0 the engine builds and runs
   /// only this rank's share of the task DAG: its A-broadcast send tasks
@@ -62,11 +57,10 @@ struct EngineConfig {
   /// result then holds only this rank's C contributions plus this rank's
   /// traffic view (bytes *sent*); the caller exchanges C tiles and
   /// aggregates across ranks (see net/launch.hpp). -1 (default) executes
-  /// every rank in-process as before.
+  /// every rank in-process.
   int local_rank = -1;
-  /// A-broadcast algorithm for explicit-message runs, and the rank ->
-  /// node map the analytic stats use to split A volume into intra- and
-  /// inter-node hops. Must match the transport's configuration (the
+  /// A-broadcast algorithm of the transport, and the rank -> node map the
+  /// analytic stats use to split A volume into intra- and inter-node hops. Must match the transport's configuration (the
   /// BcastConfig a NetTransport was constructed with) so measured and
   /// predicted splits agree; the defaults reproduce the historical flat
   /// unicast numbers.
@@ -96,7 +90,7 @@ struct EngineResult {
   double wall_seconds = 0.0;    ///< executor wall-clock (this machine)
   std::size_t tasks_executed = 0;
   PlanStats plan_stats;         ///< analytic statistics of the plan used
-  double a_network_bytes = 0.0;  ///< measured A broadcast traffic
+  double a_network_bytes = 0.0;  ///< A broadcast bytes the transport moved
   double c_network_bytes = 0.0;  ///< measured C return traffic
   std::vector<std::size_t> device_peak_bytes;  ///< per device (flattened)
   std::size_t b_max_generations = 0;  ///< max per-node generation count of
@@ -182,7 +176,6 @@ struct LoweredPlan {
   PlanStats stats;             ///< analytic statistics of the plan
 
   // The engine fields the lowering read.
-  bool messaged = false;  ///< explicit_messages or an external transport
   int local_rank = -1;
   BcastSelect a_bcast = BcastSelect::kUnicast;
   std::vector<int> node_of_rank;

@@ -24,8 +24,9 @@
 ///
 /// Observability: every node runs under an `expr.term` span; iteration
 /// counters (programs, nodes, intermediate builds/reuse/releases) and the
-/// program latency histogram land in the obs registry, from where
-/// ServiceMetrics mirrors them into the distributed metrics gather.
+/// program latency histogram land in the obs registry, whose exposition
+/// metrics_prometheus appends to each rank's section of the distributed
+/// metrics gather.
 
 #include <cstdint>
 #include <memory>

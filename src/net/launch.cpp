@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "comm/bcast.hpp"
-#include "comm/comm.hpp"
 #include "core/engine.hpp"
 #include "machine/topology.hpp"
 #include "net/counters.hpp"
@@ -407,7 +406,7 @@ int run_worker(const WorkerOptions& opts) {
 
   // --- Gather every home-owned tile on rank 0 for verification. This
   // traffic is runtime plumbing, not part of the algorithm, so it counts
-  // only in WireCounters — never in the CommRecorder the plan statistics
+  // only in WireCounters — never in the payload bytes the plan statistics
   // are checked against.
   VerdictMsg verdict;
   if (rank == 0) {
@@ -483,10 +482,10 @@ int run_worker(const WorkerOptions& opts) {
   SummaryMsg summary;
   summary.rank = static_cast<std::uint32_t>(rank);
   // A payload bytes this rank *originated* (root sends plus relay
-  // forwards). Read from the transport recorder after the barrier — a
+  // forwards). Read from the transport's byte count after the barrier — a
   // relay hop is recorded by the rx thread, possibly after the local
   // engine already returned, so the engine-call delta would undercount.
-  summary.a_wire_bytes = nt.recorder().total_bytes() - nt.c_wire_bytes();
+  summary.a_wire_bytes = nt.payload_bytes() - nt.c_wire_bytes();
   summary.c_wire_bytes = nt.c_wire_bytes();
   const WireCounterSnapshot wc = counters.snapshot();
   summary.frames_sent = wc.frames_sent;

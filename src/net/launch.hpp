@@ -17,7 +17,8 @@
 /// The problem itself never travels: every rank rebuilds the identical
 /// A/B/C from the seeded NetProblemSpec (fingerprints are cross-checked
 /// at rendezvous), so the only payloads on the wire are the tiles the
-/// algorithm genuinely moves — the same bytes CommRecorder counts.
+/// algorithm genuinely moves — the same bytes Transport::payload_bytes()
+/// counts.
 
 #include <cstdint>
 #include <functional>

@@ -47,7 +47,7 @@ void NetTransport::send(int from, int to, std::uint64_t key, Tile tile) {
                "net: a rank may only send its own messages (from=" +
                    std::to_string(from) + ", rank=" + std::to_string(rank_) +
                    ")");
-  recorder_.record(from, to, static_cast<double>(tile.bytes()));
+  count_bytes(from, to, tile.bytes());
   if (to == rank_) {
     mailbox(rank_).deliver(key, std::move(tile));
     return;
@@ -116,8 +116,8 @@ void NetTransport::dispatch_bcast(const Frame& frame,
   for (const int child : children) {
     const bool intra = bcast_node_of(bcast_.node_of_rank, child) == my_node;
     // Sender-side hop accounting: the originator of each hop records it,
-    // so summing recorder totals over ranks counts every hop once.
-    recorder_.record(rank_, child, static_cast<double>(tile_bytes));
+    // so summing payload_bytes() over ranks counts every hop once.
+    count_bytes(rank_, child, tile_bytes);
     if (counters_ != nullptr) counters_->add_a_payload(!intra, tile_bytes);
     if (intra && own_ring_ != nullptr) {
       ring_mask |= std::uint64_t{1} << child;
@@ -183,7 +183,7 @@ void NetTransport::ring_reader_loop(shm::BcastRing* ring) {
 
 void NetTransport::send_c_tile(int home, std::uint64_t key, const Tile& tile) {
   BSTC_REQUIRE(home != rank_, "net: C tile already at home");
-  recorder_.record(rank_, home, static_cast<double>(tile.bytes()));
+  count_bytes(rank_, home, tile.bytes());
   {
     std::lock_guard lock(stats_mutex_);
     c_wire_bytes_ += static_cast<double>(tile.bytes());

@@ -51,8 +51,8 @@ class NetTransport : public Transport {
  public:
   /// `peers` must hold one connected link per remote rank (np - 1 links
   /// for a full mesh). `counters` (optional) receives wire-level counts;
-  /// the CommRecorder inherited from Transport receives the payload-level
-  /// tile accounting that is compared against plan statistics. `bcast`
+  /// the payload byte count inherited from Transport receives the tile
+  /// accounting that is compared against plan statistics. `bcast`
   /// is the broadcast policy + node map; it is fixed here, before the
   /// receiver threads start, because a peer's first broadcast frame may
   /// arrive as soon as they do.
@@ -64,15 +64,15 @@ class NetTransport : public Transport {
 
   /// The Transport contract. `from` must be the local rank; a local
   /// destination delivers directly, a remote one ships a kTile frame.
-  /// Tile payload bytes are recorded into the CommRecorder exactly as the
-  /// in-process transport records them.
+  /// Tile payload bytes are counted exactly as the in-process transport
+  /// counts them.
   void send(int from, int to, std::uint64_t key, Tile tile) override;
 
   /// Collective A broadcast. The tile is serialized exactly once; the
   /// resolved algorithm decides who this rank forwards to (its fanout
   /// children), receivers recompute theirs from the self-describing
   /// frame, and co-located children are served through the shm staging
-  /// ring when enabled. Per-hop payload bytes land in the CommRecorder
+  /// ring when enabled. Per-hop payload bytes land in payload_bytes()
   /// (sender side of each hop) and in the WireCounters intra/inter split.
   void send_multi(int from, const std::vector<int>& consumers,
                   std::uint64_t key, const Tile& tile) override;
@@ -85,8 +85,8 @@ class NetTransport : public Transport {
   void enable_shm_bcast(shm::BcastRing* own_ring,
                         std::vector<shm::BcastRing*> peer_rings);
 
-  /// Send a computed C tile back to its home rank (kCTile). Records the
-  /// payload bytes as C-return traffic in the CommRecorder.
+  /// Send a computed C tile back to its home rank (kCTile). Counts the
+  /// payload bytes in payload_bytes() and in c_wire_bytes().
   void send_c_tile(int home, std::uint64_t key, const Tile& tile);
 
   /// Send an arbitrary control frame to `peer` through the progress
@@ -106,8 +106,8 @@ class NetTransport : public Transport {
   /// are expected. Called by the destructor if not called explicitly.
   void shutdown(const std::string& reason);
 
-  /// Total tile payload bytes sent as C returns (subset of the
-  /// CommRecorder totals; the A share is total - this).
+  /// Total tile payload bytes sent as C returns (subset of
+  /// payload_bytes(); the A share is total - this).
   double c_wire_bytes() const;
 
  private:

@@ -15,7 +15,6 @@
 #include <tuple>
 
 #include "bsm/block_sparse_matrix.hpp"
-#include "comm/comm.hpp"
 #include "core/engine.hpp"
 #include "obs/obs.hpp"
 #include "plan/builder.hpp"
@@ -27,28 +26,6 @@
 
 namespace bstc {
 namespace {
-
-TEST(Comm, RecorderAccumulates) {
-  CommRecorder comm(3);
-  comm.record(0, 1, 100.0);
-  comm.record(1, 2, 50.0);
-  comm.record(2, 2, 999.0);  // local: ignored
-  EXPECT_DOUBLE_EQ(comm.total_bytes(), 150.0);
-  EXPECT_EQ(comm.total_messages(), 2u);
-  EXPECT_DOUBLE_EQ(comm.sent_by(0), 100.0);
-  EXPECT_DOUBLE_EQ(comm.received_by(2), 50.0);
-  EXPECT_THROW(comm.record(0, 7, 1.0), Error);
-}
-
-TEST(Comm, CyclicDistribution) {
-  const CyclicDist2D dist{2, 3};
-  EXPECT_EQ(dist.node_of(0, 0), 0);
-  EXPECT_EQ(dist.node_of(0, 1), 1);
-  EXPECT_EQ(dist.node_of(1, 0), 3);
-  EXPECT_EQ(dist.node_of(3, 4), 4);  // row 1, col 1
-  EXPECT_EQ(dist.row_of(5), 1);
-  EXPECT_EQ(dist.col_of(5), 2);
-}
 
 /// Builds a random contraction problem and runs the engine against the
 /// reference product.

@@ -50,7 +50,7 @@ TEST(NetTransport, RemoteSendDeliversBitwise) {
   ASSERT_EQ(got.cols(), original.cols());
   EXPECT_EQ(std::memcmp(got.data(), original.data(), original.bytes()), 0);
   // Payload bytes recorded exactly as the in-process transport would.
-  EXPECT_DOUBLE_EQ(pair.t0->recorder().total_bytes(),
+  EXPECT_DOUBLE_EQ(pair.t0->payload_bytes(),
                    static_cast<double>(original.bytes()));
   // The tx progress thread bumps its counter only after the kernel accepts
   // the bytes, so the receiver can observe delivery first; poll briefly.
@@ -96,10 +96,10 @@ TEST(NetTransport, CTilesTravelOutsideTheMailbox) {
   const TileMsg msg = decode_tile(frame);
   EXPECT_EQ(msg.key, 5u);
   EXPECT_EQ(std::memcmp(msg.tile.data(), c.data(), c.bytes()), 0);
-  // C returns are payload-accounted (CommRecorder) and tracked as the C
+  // C returns are payload-accounted (payload_bytes()) and tracked as the C
   // share so A/C traffic can be split exactly.
   EXPECT_DOUBLE_EQ(pair.t1->c_wire_bytes(), static_cast<double>(c.bytes()));
-  EXPECT_DOUBLE_EQ(pair.t1->recorder().total_bytes(),
+  EXPECT_DOUBLE_EQ(pair.t1->payload_bytes(),
                    static_cast<double>(c.bytes()));
   // The A-tile mailbox never saw it: keys (i,j) of C could collide with
   // keys (i,k) of A, so C travels on its own frame type.

@@ -15,6 +15,25 @@
 namespace bstc {
 namespace {
 
+TEST(GridSpec, HomeOfIsTwoDimensionalCyclic) {
+  // Identity layout: tile (i, j) lives on slot (i % p) * q + j % q.
+  const GridSpec grid{2, 3, {}};
+  EXPECT_EQ(grid.nodes(), 6);
+  EXPECT_EQ(grid.home_of(0, 0), 0);
+  EXPECT_EQ(grid.home_of(0, 1), 1);
+  EXPECT_EQ(grid.home_of(1, 0), 3);
+  EXPECT_EQ(grid.home_of(3, 4), 4);  // row 1, col 1
+  EXPECT_EQ(grid.home_of(5, 5), 5);  // row 1, col 2
+  // A permuted layout maps each slot to its rank.
+  const GridSpec permuted{2, 3, {5, 3, 1, 4, 2, 0}};
+  EXPECT_EQ(permuted.home_of(0, 0), 5);
+  EXPECT_EQ(permuted.home_of(0, 1), 3);
+  EXPECT_EQ(permuted.home_of(1, 0), 4);
+  EXPECT_EQ(permuted.home_of(3, 4), 2);
+  EXPECT_EQ(permuted.home_of(5, 5), 0);
+  EXPECT_EQ(permuted.node_id(1, 2), 0);
+}
+
 TEST(ColumnAssignment, MirroredCyclicOrder) {
   // Weights already sorted ascending: 1..6 over q=3 procs.
   // Forward pass: cols 0,1,2 -> procs 0,1,2; mirrored: cols 3,4,5 ->

@@ -206,51 +206,52 @@ Problem two_node_problem() {
   return p;
 }
 
-TEST(Replay, UnmessagedLoweringIsNeverReusedByAMessagedCall) {
+TEST(Replay, LoweringForOtherEngineFieldsIsNeverReused) {
   const Problem p = two_node_problem();
-  EngineConfig direct;
-  EngineConfig messaged;
-  messaged.explicit_messages = true;
-  const EngineResult expected = p.fresh(p.a, messaged);
+  const EngineConfig plain;
+  EngineConfig shared_node;  // both ranks on one node
+  shared_node.node_of_rank = {0, 0};
+  const EngineResult expected = p.fresh(p.a, plain);
   ASSERT_GT(expected.plan_stats.a_network_bytes, 0.0);
 
   const ExecutionPlan plan =
-      build_plan(p.a.shape(), p.b_shape, p.c_shape, p.machine, direct.plan);
+      build_plan(p.a.shape(), p.b_shape, p.c_shape, p.machine, plain.plan);
   const std::shared_ptr<const LoweredPlan> lowered =
-      lower_plan(plan, p.a.shape(), p.b_shape, p.c_shape, p.machine, direct);
-  EXPECT_TRUE(lowered->a_sends.empty());
-  EXPECT_TRUE(lowered->fits(direct));
-  EXPECT_FALSE(lowered->fits(messaged));
-  EngineConfig other_rank = direct;
+      lower_plan(plan, p.a.shape(), p.b_shape, p.c_shape, p.machine, plain);
+  EXPECT_FALSE(lowered->a_sends.empty());
+  EXPECT_TRUE(lowered->fits(plain));
+  EXPECT_FALSE(lowered->fits(shared_node));
+  EngineConfig other_rank = plain;
   other_rank.local_rank = 0;
   EXPECT_FALSE(lowered->fits(other_rank));
-  EngineConfig other_bcast = direct;
+  EngineConfig other_bcast = plain;
   other_bcast.a_bcast = BcastSelect::kTree;
   EXPECT_FALSE(lowered->fits(other_bcast));
-  EngineConfig other_nodes = direct;
-  other_nodes.node_of_rank = {0, 0};
-  EXPECT_FALSE(lowered->fits(other_nodes));
+  EXPECT_DOUBLE_EQ(lowered->stats.a_internode_bytes,
+                   lowered->stats.a_network_bytes);
 
-  // A messaged call handed the unmessaged lowering lowers afresh, runs
-  // the send tasks, and moves A through the transport.
+  // A call handed a lowering made for other engine fields lowers afresh:
+  // its statistics follow its own node map (all A hops intra-node).
   const std::uint64_t before = lowerings();
   const EngineResult result =
       contract_lowered(plan, *lowered, p.a, p.b_shape, p.b_gen, p.c_shape,
-                       nullptr, p.machine, messaged);
+                       nullptr, p.machine, shared_node);
   EXPECT_EQ(lowerings(), before + 1);
   EXPECT_EQ(result.tasks_executed, expected.tasks_executed);
-  EXPECT_GT(result.tasks_executed, lowered->graph.size());
-  EXPECT_NEAR(result.a_network_bytes, expected.plan_stats.a_network_bytes,
-              1e-6);
+  EXPECT_DOUBLE_EQ(result.plan_stats.a_internode_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(result.plan_stats.a_intranode_bytes,
+                   expected.plan_stats.a_network_bytes);
+  EXPECT_DOUBLE_EQ(result.a_network_bytes,
+                   expected.plan_stats.a_network_bytes);
   EXPECT_TRUE(bitwise_equal(result.c, expected.c, p.c_shape));
 
-  // Through the service: a messaged session over the plan an unmessaged
-  // submit cached lowers once for itself, then replays.
+  // Through the service: a session with its own node map over the plan a
+  // plain submit cached lowers once for itself, then replays.
   ContractionService service;
   ContractionResponse resp;
   ASSERT_EQ(service.submit(p.request(), resp), ServiceStatus::kOk);
   SessionConfig session = p.session();
-  session.engine = messaged;
+  session.engine = shared_node;
   const std::uint64_t at_open = lowerings();
   std::uint64_t id = 0;
   ASSERT_EQ(service.open_session(session, id), ServiceStatus::kOk);

@@ -122,8 +122,8 @@ TEST(Trace, EngineTaskNamesAreGolden) {
   // bstc_trace_check sort task spans by these prefixes. The names are
   // formatted from each task record while tracing is on, and must stay
   // byte for byte what they are here. 2 nodes of 1 device each on a 1x2
-  // grid, A travelling as explicit messages: queues 0 and 1 are the
-  // nodes' CPU queues, 2 and 3 their devices.
+  // grid, so A travels as messages: queues 0 and 1 are the nodes' CPU
+  // queues, 2 and 3 their devices.
   RegistryGuard guard;
   Rng rng(5);
   const Tiling mt = Tiling::uniform(32, 8);
@@ -137,11 +137,9 @@ TEST(Trace, EngineTaskNamesAreGolden) {
   machine.node.gpus = 1;
   machine.gpu_total = 2;
   machine.node.gpu.memory_bytes = 1e4;
-  EngineConfig cfg;
-  cfg.explicit_messages = true;
   const EngineResult result =
       contract(a, b_shape, random_tile_generator(b_shape, 9), c_shape,
-               nullptr, machine, cfg);
+               nullptr, machine, EngineConfig{});
 
   std::map<std::string, std::uint32_t> lane_of;
   std::map<std::string, int> per_kind;

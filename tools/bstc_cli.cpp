@@ -179,8 +179,6 @@ const CommandInfo kCommands[] = {
      "                       (ccsd-doubles reads --m as the alkane chain\n"
      "                       length, clamped to [2,65])\n"
      "  --workers N          service worker threads per rank (default 2)\n"
-     "  --threads N          inter-term DAG parallelism is the service's\n"
-     "                       worker pool; this is reserved (default 2)\n"
      "  --ranks N            also run distributed: fork N serve-worker\n"
      "                       ranks, iterate the same program over TCP and\n"
      "                       verify the residual bitwise against the\n"
@@ -551,6 +549,61 @@ std::vector<int> parse_node_map(const Args& args, int np) {
   return node_of;
 }
 
+/// Worker processes re-executed from this very binary (/proc/self/exe),
+/// so a parent never depends on PATH or the invocation spelling.
+class WorkerProcesses {
+ public:
+  /// Fork a worker running `bstc_cli <args...>`; `who` prefixes errors.
+  void spawn(const std::string& who, const std::vector<std::string>& args) {
+    const pid_t pid = fork();
+    BSTC_REQUIRE(pid >= 0, who + ": fork failed");
+    if (pid == 0) {
+      std::vector<std::string> argv_s = {"/proc/self/exe"};
+      argv_s.insert(argv_s.end(), args.begin(), args.end());
+      std::vector<char*> argv;
+      argv.reserve(argv_s.size() + 1);
+      for (std::string& a : argv_s) argv.push_back(a.data());
+      argv.push_back(nullptr);
+      execv(argv[0], argv.data());
+      std::perror((who + ": execv /proc/self/exe").c_str());
+      _exit(127);
+    }
+    children_.push_back(Child{pid, false, 0});
+  }
+
+  /// Reap the workers that have exited, without blocking; returns how many
+  /// have exited so far.
+  int dead_poll() {
+    int dead = 0;
+    for (Child& c : children_) {
+      if (!c.reaped && waitpid(c.pid, &c.status, WNOHANG) == c.pid) {
+        c.reaped = true;
+      }
+      if (c.reaped) ++dead;
+    }
+    return dead;
+  }
+
+  /// Wait for every worker; returns how many did not exit with status 0.
+  int reap_all() {
+    int failures = 0;
+    for (Child& c : children_) {
+      if (!c.reaped) waitpid(c.pid, &c.status, 0);
+      c.reaped = true;
+      if (!WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0) ++failures;
+    }
+    return failures;
+  }
+
+ private:
+  struct Child {
+    pid_t pid = -1;
+    bool reaped = false;
+    int status = 0;
+  };
+  std::vector<Child> children_;
+};
+
 int cmd_launch(const Args& args) {
   net::LaunchOptions opts;
   opts.spec = make_net_spec(args);
@@ -567,18 +620,11 @@ int cmd_launch(const Args& args) {
   const std::string metrics_out = args.get("metrics-out", "");
   const std::vector<int> node_map = parse_node_map(args, opts.spec.np);
 
-  struct Child {
-    pid_t pid = -1;
-    bool reaped = false;
-    int status = 0;
-  };
-  std::vector<Child> children;
+  WorkerProcesses workers;
   const std::vector<std::string> spec_flags = net::spec_to_flags(opts.spec);
   const int spawn_local =
       static_cast<int>(args.get_int("spawn", opts.spec.np));
 
-  // Workers are re-executions of this very binary (/proc/self/exe), so a
-  // launch never depends on PATH or the invocation spelling.
   const auto spawn = [&](const std::string& host, std::uint16_t port,
                          int index) {
     if (index >= spawn_local) {
@@ -589,59 +635,27 @@ int cmd_launch(const Args& args) {
       std::fflush(stdout);
       return;
     }
-    const pid_t pid = fork();
-    BSTC_REQUIRE(pid >= 0, "launch: fork failed");
-    if (pid == 0) {
-      std::vector<std::string> argv_s = {"/proc/self/exe", "worker",
-                                         "--host", host, "--port",
-                                         std::to_string(port)};
-      argv_s.insert(argv_s.end(), spec_flags.begin(), spec_flags.end());
-      argv_s.push_back("--node-id");
-      argv_s.push_back(
-          std::to_string(node_map[static_cast<std::size_t>(index)]));
-      if (!opts.trace_out.empty()) {
-        argv_s.push_back("--trace-out");
-        argv_s.push_back(opts.trace_out);
-      }
-      std::vector<char*> argv;
-      argv.reserve(argv_s.size() + 1);
-      for (std::string& s : argv_s) argv.push_back(s.data());
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      std::perror("launch: execv /proc/self/exe");
-      _exit(127);
+    std::vector<std::string> argv = {"worker", "--host", host, "--port",
+                                     std::to_string(port)};
+    argv.insert(argv.end(), spec_flags.begin(), spec_flags.end());
+    argv.push_back("--node-id");
+    argv.push_back(std::to_string(node_map[static_cast<std::size_t>(index)]));
+    if (!opts.trace_out.empty()) {
+      argv.push_back("--trace-out");
+      argv.push_back(opts.trace_out);
     }
-    children.push_back(Child{pid, false, 0});
-  };
-  const auto dead_poll = [&]() -> int {
-    int dead = 0;
-    for (Child& c : children) {
-      if (c.reaped) {
-        ++dead;
-        continue;
-      }
-      if (waitpid(c.pid, &c.status, WNOHANG) == c.pid) {
-        c.reaped = true;
-        ++dead;
-      }
-    }
-    return dead;
+    workers.spawn("launch", argv);
   };
 
   net::LaunchReport report;
   try {
-    report = net::run_launcher(opts, spawn, dead_poll);
+    report = net::run_launcher(opts, spawn,
+                               [&workers] { return workers.dead_poll(); });
   } catch (...) {
-    for (Child& c : children) {
-      if (!c.reaped) waitpid(c.pid, &c.status, 0);
-    }
+    workers.reap_all();
     throw;
   }
-  int worker_failures = 0;
-  for (Child& c : children) {
-    if (!c.reaped) waitpid(c.pid, &c.status, 0);
-    if (!WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0) ++worker_failures;
-  }
+  const int worker_failures = workers.reap_all();
 
   const int q = opts.spec.np / opts.spec.p;
   std::printf("grid           %d x %d (%d processes over TCP loopback)\n",
@@ -1134,53 +1148,21 @@ int cmd_serve_batch(const Args& args) {
     // binary, route the identical request stream through a ServeRouter.
     net::Listener listener("127.0.0.1", 0);
     const std::uint16_t port = listener.local_port();
-    struct Child {
-      pid_t pid = -1;
-      bool reaped = false;
-      int status = 0;
-    };
-    std::vector<Child> children;
-    for (int i = 0; i < ranks; ++i) {
-      const pid_t pid = fork();
-      BSTC_REQUIRE(pid >= 0, "serve-batch: fork failed");
-      if (pid == 0) {
-        std::vector<std::string> argv_s = {
-            "/proc/self/exe", "serve-worker",
-            "--host", "127.0.0.1",
-            "--port", std::to_string(port),
-            "--workers", std::to_string(service_cfg.workers),
-            "--queue", std::to_string(service_cfg.queue_capacity),
-            "--cache", std::to_string(service_cfg.plan_cache_capacity)};
-        if (!shm_ctl.empty()) {
-          argv_s.push_back("--shm-ctl");
-          argv_s.push_back(shm_ctl);
-        }
-        std::vector<char*> argv;
-        argv.reserve(argv_s.size() + 1);
-        for (std::string& s : argv_s) argv.push_back(s.data());
-        argv.push_back(nullptr);
-        execv(argv[0], argv.data());
-        std::perror("serve-batch: execv /proc/self/exe");
-        _exit(127);
-      }
-      children.push_back(Child{pid, false, 0});
+    std::vector<std::string> argv = {
+        "serve-worker",
+        "--host", "127.0.0.1",
+        "--port", std::to_string(port),
+        "--workers", std::to_string(service_cfg.workers),
+        "--queue", std::to_string(service_cfg.queue_capacity),
+        "--cache", std::to_string(service_cfg.plan_cache_capacity)};
+    if (!shm_ctl.empty()) {
+      argv.push_back("--shm-ctl");
+      argv.push_back(shm_ctl);
     }
-    const auto dead_poll = [&]() -> int {
-      int dead = 0;
-      for (Child& c : children) {
-        if (c.reaped) {
-          ++dead;
-          continue;
-        }
-        if (waitpid(c.pid, &c.status, WNOHANG) == c.pid) {
-          c.reaped = true;
-          ++dead;
-        }
-      }
-      return dead;
-    };
-    std::vector<net::PeerLink> links =
-        net::accept_serve_workers(listener, ranks, 60000, dead_poll);
+    WorkerProcesses workers;
+    for (int i = 0; i < ranks; ++i) workers.spawn("serve-batch", argv);
+    std::vector<net::PeerLink> links = net::accept_serve_workers(
+        listener, ranks, 60000, [&workers] { return workers.dead_poll(); });
     net::ServeRouterConfig router_cfg;
     router_cfg.max_inflight_per_worker = inflight;
     net::ServeRouter router(std::move(links), router_cfg);
@@ -1237,13 +1219,7 @@ int cmd_serve_batch(const Args& args) {
     }
 
     router.shutdown();
-    int worker_failures = 0;
-    for (Child& c : children) {
-      if (!c.reaped) waitpid(c.pid, &c.status, 0);
-      if (!WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0) {
-        ++worker_failures;
-      }
-    }
+    const int worker_failures = workers.reap_all();
     if (worker_failures > 0) {
       std::fprintf(stderr, "serve-batch: %d worker(s) exited abnormally\n",
                    worker_failures);
@@ -1334,7 +1310,6 @@ int cmd_program_run(const Args& args) {
   if (program == "ccsd-doubles" && !args.has("m")) spec.m = 3;
   ServiceConfig service_cfg;
   service_cfg.workers = static_cast<int>(args.get_int("workers", 2));
-  args.allow({"threads"});  // reserved: DAG parallelism rides the workers
 
   // In-process run — also the bitwise reference for distributed mode.
   ProgramDriveResult local_result;
@@ -1381,47 +1356,15 @@ int cmd_program_run(const Args& args) {
   // ranks, then a bitwise comparison against the in-process residuals.
   net::Listener listener("127.0.0.1", 0);
   const std::uint16_t port = listener.local_port();
-  struct Child {
-    pid_t pid = -1;
-    bool reaped = false;
-    int status = 0;
-  };
-  std::vector<Child> children;
+  WorkerProcesses workers;
   for (int i = 0; i < ranks; ++i) {
-    const pid_t pid = fork();
-    BSTC_REQUIRE(pid >= 0, "program-run: fork failed");
-    if (pid == 0) {
-      std::vector<std::string> argv_s = {
-          "/proc/self/exe", "serve-worker",
-          "--host", "127.0.0.1",
-          "--port", std::to_string(port),
-          "--workers", std::to_string(service_cfg.workers)};
-      std::vector<char*> argv;
-      argv.reserve(argv_s.size() + 1);
-      for (std::string& s : argv_s) argv.push_back(s.data());
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      std::perror("program-run: execv /proc/self/exe");
-      _exit(127);
-    }
-    children.push_back(Child{pid, false, 0});
+    workers.spawn("program-run",
+                  {"serve-worker", "--host", "127.0.0.1", "--port",
+                   std::to_string(port), "--workers",
+                   std::to_string(service_cfg.workers)});
   }
-  const auto dead_poll = [&]() -> int {
-    int dead = 0;
-    for (Child& c : children) {
-      if (c.reaped) {
-        ++dead;
-        continue;
-      }
-      if (waitpid(c.pid, &c.status, WNOHANG) == c.pid) {
-        c.reaped = true;
-        ++dead;
-      }
-    }
-    return dead;
-  };
-  std::vector<net::PeerLink> links =
-      net::accept_serve_workers(listener, ranks, 60000, dead_poll);
+  std::vector<net::PeerLink> links = net::accept_serve_workers(
+      listener, ranks, 60000, [&workers] { return workers.dead_poll(); });
   net::ServeRouter router(std::move(links));
   net::RemoteService remote(router);
 
@@ -1471,10 +1414,7 @@ int cmd_program_run(const Args& args) {
   }
 
   router.shutdown();
-  for (Child& c : children) {
-    if (!c.reaped) waitpid(c.pid, &c.status, 0);
-    if (!WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0) ++failed;
-  }
+  failed += workers.reap_all();
   return failed == 0 ? 0 : 1;
 }
 
