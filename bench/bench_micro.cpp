@@ -1,13 +1,15 @@
 /// google-benchmark micro-benchmarks for the library's hot paths: the
 /// CPU GEMM kernel, shape algebra (the inspector's dominant cost), the
 /// three inspector phases, plan lowering, the scheduler's per-run and
-/// per-task costs and the bulk-byte hash.
+/// per-task costs, the bulk-byte hash and the large-tile storage cycle.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "chem/abcd.hpp"
@@ -322,6 +324,49 @@ void BM_Fnv1aBytes(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Fnv1aBytes)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+/// A large tile's storage round trip: construct (zero-filled), fill and
+/// destroy a 324x324 tile (820 KiB, abcd-coarse's B tile shape), in turn
+/// on the benchmark thread and on a second thread, as pool helpers
+/// generate B tiles that device lanes free. `tile_time` is per tile;
+/// `fresh_maps` counts the tiles that made a new mapping instead of
+/// reusing a cached one, per tile.
+void BM_TileStorageCycle(benchmark::State& state) {
+  constexpr Index kExtent = 324;
+  std::atomic<int> turn{0};  // 1: the second thread's tile, -1: stop
+  std::thread other([&turn] {
+    while (true) {
+      int t;
+      while ((t = turn.load(std::memory_order_acquire)) == 0) {
+      }
+      if (t < 0) return;
+      Tile tile(kExtent, kExtent);
+      tile.fill(1.0);
+      benchmark::DoNotOptimize(tile.data());
+      turn.store(0, std::memory_order_release);
+    }
+  });
+  const TileStorageStats before = tile_storage_stats();
+  for (auto _ : state) {
+    {
+      Tile tile(kExtent, kExtent);
+      tile.fill(1.0);
+      benchmark::DoNotOptimize(tile.data());
+    }
+    turn.store(1, std::memory_order_release);
+    while (turn.load(std::memory_order_acquire) != 0) {
+    }
+  }
+  turn.store(-1, std::memory_order_release);
+  other.join();
+  const double tiles = 2.0 * static_cast<double>(state.iterations());
+  state.SetItemsProcessed(2 * state.iterations());
+  state.counters["fresh_maps"] = static_cast<double>(
+      tile_storage_stats().fresh_maps - before.fresh_maps) / tiles;
+  state.counters["tile_time"] = benchmark::Counter(
+      tiles, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TileStorageCycle)->UseRealTime();
 
 void BM_FullInspector(benchmark::State& state) {
   const ShapePair s =

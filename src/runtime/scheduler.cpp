@@ -18,7 +18,8 @@ namespace {
 /// Shared state of one run_graph call, guarded by its team's mutex. Each
 /// task is released into its queue exactly once, so queue q's ready FIFO
 /// is the slice [graph.queue_begin(q), graph.queue_begin(q + 1)) of
-/// `ready`, filled at `tail[q]` and drained at `head[q]`.
+/// `ready`, filled at `tail[q]` and drained at `head[q]`. Only the lanes
+/// of queues holding tasks join the run.
 struct Run {
   Run(const TaskGraph& g, std::uint32_t num_queues, TaskDispatch& d)
       : graph(g),
@@ -31,6 +32,7 @@ struct Run {
         tail(num_queues),
         executed(num_queues, 0),
         remaining(g.size()) {
+    for (std::uint32_t q = 0; q < g.queues(); ++q) lanes += joins(q);
     for (std::uint32_t q = 0; q < queues; ++q) {
       head[q] = tail[q] = q < g.queues()
                               ? g.queue_begin(q)
@@ -43,6 +45,12 @@ struct Run {
     }
   }
 
+  /// True when queue q holds tasks, so its lane serves this run.
+  bool joins(std::uint32_t q) const {
+    return q < graph.queues() &&
+           graph.queue_begin(q + 1) > graph.queue_begin(q);
+  }
+
   const TaskGraph& graph;
   TaskDispatch& dispatch;
   const std::uint32_t queues;
@@ -52,6 +60,8 @@ struct Run {
   std::vector<std::uint32_t> head, tail;
   std::vector<std::size_t> executed;  ///< per queue
   std::size_t remaining;              ///< tasks not yet executed
+  std::uint32_t lanes = 0;            ///< lanes that join the run
+  std::uint32_t lanes_joined = 0;     ///< lanes that have joined so far
   std::uint32_t lanes_left = 0;       ///< lanes still inside the run
   bool aborted = false;
   std::exception_ptr error;
@@ -62,14 +72,20 @@ struct Run {
 /// when static destructors run), like the ComputePool.
 class LaneTeam {
  public:
-  /// Serve `run` on lanes 0 .. run.queues - 1, starting lanes the team
-  /// lacks; returns once every one of them has left the run.
+  /// Serve `run` on the lanes of its queues holding tasks, starting lanes
+  /// the team lacks; returns once every one of them has left the run.
   void execute(Run& run);
 
  private:
   void lane_main(std::uint32_t q);
   /// Lane q's part of `run`; `lock` is held on entry and exit.
   void serve(Run& run, std::uint32_t q, std::unique_lock<std::mutex>& lock);
+  /// Wakes every lane that joins `run`.
+  void wake_lanes(const Run& run) {
+    for (std::uint32_t q = 0; q < run.graph.queues(); ++q) {
+      if (run.joins(q)) wake_[q]->notify_one();
+    }
+  }
 
   std::mutex mutex_;
   std::condition_variable done_;  ///< lanes parked, or a run's lanes left
@@ -84,7 +100,7 @@ class LaneTeam {
 void LaneTeam::execute(Run& run) {
   std::unique_lock lock(mutex_);
   const std::size_t had = lanes_.size();
-  while (lanes_.size() < run.queues) {
+  while (lanes_.size() < run.graph.queues()) {
     const auto q = static_cast<std::uint32_t>(lanes_.size());
     wake_.push_back(std::make_unique<std::condition_variable>());
     try {
@@ -102,10 +118,10 @@ void LaneTeam::execute(Run& run) {
     obs::Registry::instance().counter_add("bstc_lanes_started_total",
                                           lanes_.size() - had);
   }
-  run.lanes_left = run.queues;
+  run.lanes_left = run.lanes;
   run_ = &run;
   ++runs_;
-  for (std::uint32_t q = 0; q < run.queues; ++q) wake_[q]->notify_one();
+  wake_lanes(run);
   done_.wait(lock, [&run] { return run.lanes_left == 0; });
   run_ = nullptr;
 }
@@ -116,10 +132,11 @@ void LaneTeam::lane_main(std::uint32_t q) {
   std::uint64_t joined = runs_;
   while (true) {
     wake_[q]->wait(lock, [&] {
-      return runs_ != joined && run_ != nullptr && q < run_->queues;
+      return runs_ != joined && run_ != nullptr && run_->joins(q);
     });
     joined = runs_;
     Run& run = *run_;
+    ++run.lanes_joined;
     serve(run, q, lock);
     if (--run.lanes_left == 0) done_.notify_all();
   }
@@ -155,7 +172,7 @@ void LaneTeam::serve(Run& run, std::uint32_t q,
       lock.lock();
       if (!run.error) run.error = std::current_exception();
       run.aborted = true;
-      for (std::uint32_t p = 0; p < run.queues; ++p) wake_[p]->notify_one();
+      wake_lanes(run);
       return;
     }
 
@@ -170,7 +187,7 @@ void LaneTeam::serve(Run& run, std::uint32_t q,
       }
     }
     if (run.remaining == 0) {
-      for (std::uint32_t p = 0; p < run.queues; ++p) wake_[p]->notify_one();
+      wake_lanes(run);
     }
   }
 }
@@ -252,6 +269,7 @@ SchedulerStats run_graph(const TaskGraph& graph, std::uint32_t num_queues,
   SchedulerStats stats;
   stats.wall_seconds = timer.elapsed_s();
   stats.per_queue = run.executed;
+  stats.lanes_joined = run.lanes_joined;
   for (const std::size_t n : stats.per_queue) stats.tasks_executed += n;
   return stats;
 }

@@ -14,7 +14,8 @@
 /// process-wide stack of idle teams and returns it afterwards, last in
 /// first out, so sequential runs from any thread reuse one team while
 /// concurrent runs take one team each. A team grows when a run needs more
-/// queues and is never destroyed. Lane q serves queue q in every run, so
+/// queues and is never destroyed. Lane q serves queue q in every run
+/// that has tasks on it (the lanes of empty queues stay parked), so
 /// a lane keeps its thread-local state (malloc arena, pack buffers)
 /// across runs. A child forked after a run sets the inherited teams aside
 /// and starts its own lanes on its first run.
@@ -33,6 +34,9 @@ struct SchedulerStats {
   double wall_seconds = 0.0;
   /// Tasks executed per queue.
   std::vector<std::size_t> per_queue;
+  /// Lanes that served the run: one per queue holding tasks. The lanes of
+  /// empty queues are not woken.
+  std::uint32_t lanes_joined = 0;
 };
 
 /// What a run does with each task record.
@@ -49,8 +53,9 @@ class TaskDispatch {
   ~TaskDispatch() = default;
 };
 
-/// Execute every task of a sealed graph over `num_queues` lanes (one per
-/// queue) of a borrowed lane team, calling `dispatch.run` once
+/// Execute every task of a sealed graph over `num_queues` queues, each
+/// queue holding tasks served by its own lane of a borrowed lane team
+/// (lanes of empty queues stay parked), calling `dispatch.run` once
 /// per task. The graph is only read: each run copies its dependence
 /// counts, so one graph may be run any number of times, from several
 /// threads at once. Throws bstc::Error when the graph is not sealed or

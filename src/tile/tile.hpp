@@ -14,6 +14,7 @@
 /// mutating accessors require ownership and throw on a view.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -21,17 +22,43 @@
 
 namespace bstc {
 
-/// Storage of tile payloads. A payload of at least kMappedTileBytes gets
-/// its own anonymous mapping, returned to the kernel when the tile dies;
-/// smaller ones come from operator new. Large tiles are generated on
-/// whichever thread the compute pool lends, and freed on another: through
-/// malloc they would settle in that thread's arena, whose freed space
-/// stays resident and serves only that thread again, so a process's
-/// resident size would depend on which thread happened to allocate what.
-/// A mapping makes it follow the bytes of live tiles.
+/// Storage of tile payloads. A payload of at least kMappedTileBytes lives
+/// in an anonymous mapping of its own; smaller ones come from operator
+/// new. Large tiles are generated on whichever thread the compute pool
+/// lends, and freed on another: through malloc they would settle in that
+/// thread's arena, whose freed space stays resident and serves only that
+/// thread again, so a process's resident size would depend on which
+/// thread happened to allocate what. Mappings are thread-agnostic instead.
+///
+/// A freed mapping is not returned to the kernel but kept in one
+/// process-wide cache, and the next large allocation on any thread takes
+/// a cached mapping of its own length if there is one, else any cached
+/// mapping sized to the request (its tail unmapped when it is larger,
+/// grown with mremap when it is smaller), so only pages the cache never
+/// held fault in: each contraction of a recurring shape reuses the pages
+/// of the last. New mappings are made only when the cache is empty, and
+/// growing a reused one gives up as many cached bytes, so live + cached
+/// mapped bytes never exceed the high-water mark of live ones. The cache
+/// is linked through the mappings themselves (no malloc, so pool helpers
+/// may allocate tiles). A forked child unmaps the cache it inherits and
+/// starts empty.
 inline constexpr std::size_t kMappedTileBytes = 128 * 1024;
 void* allocate_tile_storage(std::size_t bytes);
 void release_tile_storage(void* p, std::size_t bytes) noexcept;
+
+/// Bytes are whole pages of mapped payloads; counts are since the start
+/// of the process.
+struct TileStorageStats {
+  std::uint64_t fresh_maps = 0;  ///< mapped allocations that made a mapping
+  std::uint64_t reuses = 0;      ///< mapped allocations served by the cache
+  std::size_t cached_bytes = 0;  ///< freed mappings kept for reuse
+  std::size_t live_bytes = 0;    ///< mappings held by live tiles
+  std::size_t high_water_bytes = 0;  ///< the most live_bytes ever held
+};
+TileStorageStats tile_storage_stats();
+
+/// Unmaps every cached mapping, returning its pages to the kernel.
+void trim_tile_storage() noexcept;
 
 /// std::allocator stand-in that routes a tile's buffer through the two
 /// functions above.

@@ -160,6 +160,26 @@ TEST(Scheduler, PerQueueCountsSumToTotal) {
   EXPECT_EQ(st.per_queue.size(), 3u);
   EXPECT_EQ(st.per_queue[0] + st.per_queue[1] + st.per_queue[2], 20u);
   EXPECT_EQ(st.per_queue[0], 7u);  // tasks 0,3,...,18
+  EXPECT_EQ(st.lanes_joined, 3u);
+}
+
+TEST(Scheduler, OnlyLanesOfQueuesWithTasksJoin) {
+  // Lanes of empty queues are not woken: a graph with tasks on 1 of 3
+  // queues joins 1 lane, one with tasks on queues 0 and 2 joins 2.
+  ClosureGraph one;
+  const TaskId first = one.add_task("a", 1, [] {});
+  one.add_edge(first, one.add_task("b", 1, [] {}));
+  for (int r = 0; r < 3; ++r) {
+    const SchedulerStats st = one.run(3);
+    EXPECT_EQ(st.lanes_joined, 1u);
+    EXPECT_EQ(st.tasks_executed, 2u);
+    EXPECT_EQ(st.per_queue, (std::vector<std::size_t>{0, 2, 0}));
+  }
+  ClosureGraph ends;
+  ends.add_edge(ends.add_task("a", 2, [] {}), ends.add_task("b", 0, [] {}));
+  EXPECT_EQ(ends.run(3).lanes_joined, 2u);
+  ClosureGraph none;
+  EXPECT_EQ(none.run(3).lanes_joined, 0u);
 }
 
 TEST(Scheduler, EmptyGraphCompletes) {

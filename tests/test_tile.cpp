@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -61,12 +66,17 @@ std::optional<long> rss_kib() {
   return std::nullopt;
 }
 
+bool within_high_water(const TileStorageStats& s) {
+  return s.live_bytes + s.cached_bytes <= s.high_water_bytes;
+}
+
 TEST(Tile, LargeTilesFreedOnAnotherThreadLeaveTheResidentSet) {
   // Generated on one thread and freed on another, as pool-generated B
-  // tiles are: their pages must go back to the kernel. Through malloc
-  // they would not — once an 8 MiB block has been freed, glibc serves
-  // 4 MiB requests from the allocating thread's arena and keeps them
-  // resident after free.
+  // tiles are: freed mappings stay cached for the next large tile, and
+  // trim_tile_storage returns their pages to the kernel. Through malloc
+  // they would not go back — once an 8 MiB block has been freed, glibc
+  // serves 4 MiB requests from the allocating thread's arena and keeps
+  // them resident after free.
   if (!rss_kib()) GTEST_SKIP() << "no /proc/self/status";
   { const Tile warm(1024, 1024); }  // 8 MiB
   const Index rows = 512, cols = 1024;  // 4 MiB each
@@ -79,10 +89,156 @@ TEST(Tile, LargeTilesFreedOnAnotherThreadLeaveTheResidentSet) {
   }).join();
   const long live = *rss_kib();
   tiles.clear();
+  trim_tile_storage();
   const long after = *rss_kib();
   const long tiles_kib = 3 * rows * cols * 8 / 1024;
   EXPECT_GE(live - after, tiles_kib / 2)
       << "live " << live << " KiB, after " << after << " KiB";
+  const TileStorageStats stats = tile_storage_stats();
+  EXPECT_EQ(stats.cached_bytes, 0u);
+  EXPECT_TRUE(within_high_water(stats))
+      << "live " << stats.live_bytes << " + cached " << stats.cached_bytes
+      << " > high-water " << stats.high_water_bytes;
+}
+
+bool all_zero(const Tile& t) {
+  for (Index j = 0; j < t.cols(); ++j) {
+    for (Index i = 0; i < t.rows(); ++i) {
+      if (t.at(i, j) != 0.0) return false;
+    }
+  }
+  return true;
+}
+
+TEST(TileStorage, FreedMappingServesSmallerAndLargerTilesOnAnotherThread) {
+  trim_tile_storage();  // the freed tile's mapping is then the only one
+  const double* freed = nullptr;
+  std::thread([&] {
+    Tile t(512, 512);  // 2 MiB
+    t.fill(1.0);
+    freed = t.data();
+  }).join();
+  const TileStorageStats before = tile_storage_stats();
+  ASSERT_GE(before.cached_bytes, std::size_t{2} << 20);
+  std::thread([&] {
+    {
+      Tile smaller(300, 400);  // 0.92 MiB: the cached mapping's tail goes
+      EXPECT_EQ(smaller.data(), freed) << "the last freed mapping is reused";
+      EXPECT_EQ(smaller.rows(), 300);
+      EXPECT_EQ(smaller.cols(), 400);
+      EXPECT_TRUE(all_zero(smaller));
+      smaller.fill(2.0);
+    }
+    Tile larger(700, 600);  // 3.2 MiB: the same mapping, grown
+    EXPECT_EQ(larger.rows(), 700);
+    EXPECT_EQ(larger.cols(), 600);
+    EXPECT_TRUE(all_zero(larger));
+  }).join();
+  const TileStorageStats after = tile_storage_stats();
+  EXPECT_EQ(after.reuses, before.reuses + 2);
+  EXPECT_EQ(after.fresh_maps, before.fresh_maps);
+  EXPECT_TRUE(within_high_water(after));
+}
+
+TEST(TileStorage, ATileTakesACachedMappingOfItsOwnLength) {
+  // Preferred over the more recently freed mappings of other lengths,
+  // which would have to be resized.
+  std::optional<Tile> same(std::in_place, 256, 300);
+  std::vector<Tile> others;
+  for (Index cols = 310; cols <= 380; cols += 10) {
+    others.emplace_back(256, cols);
+  }
+  const double* same_data = same->data();
+  same.reset();
+  others.clear();
+  const Tile again(300, 256);
+  EXPECT_EQ(again.data(), same_data);
+  EXPECT_TRUE(all_zero(again));
+}
+
+TEST(TileStorage, VariedSizesKeepLiveAndCachedWithinHighWater) {
+  // Random allocate/free cycles over payloads of 128 KiB .. 2 MiB, on two
+  // threads in turn: every reading keeps live + cached mapped bytes within
+  // the high-water mark of live ones, and every new tile reads zero.
+  Rng rng(11);
+  std::vector<Tile> live;
+  int bad_values = 0, bad_bounds = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::thread([&] {
+      for (int op = 0; op < 40; ++op) {
+        if (!live.empty() && rng.uniform() < 0.45) {
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(
+                                        rng.uniform_index(live.size())));
+        } else {
+          live.emplace_back(256, rng.uniform_int(64, 1024));
+          if (!all_zero(live.back())) ++bad_values;
+          live.back().fill(static_cast<double>(op + 1));
+        }
+        if (!within_high_water(tile_storage_stats())) ++bad_bounds;
+      }
+    }).join();
+  }
+  live.clear();
+  const TileStorageStats stats = tile_storage_stats();
+  EXPECT_EQ(bad_values, 0);
+  EXPECT_EQ(bad_bounds, 0);
+  EXPECT_EQ(stats.live_bytes, 0u);
+  EXPECT_GT(stats.reuses, 0u);
+  EXPECT_TRUE(within_high_water(stats));
+  trim_tile_storage();
+  EXPECT_EQ(tile_storage_stats().cached_bytes, 0u);
+}
+
+TEST(TileStorage, UseAfterFreeOfALargeTileIsReportedUnderAsan) {
+  // A freed mapping stays mapped in the cache, so only its poisoning lets
+  // AddressSanitizer see a read of a dead large tile.
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(
+      {
+        const double* dead = nullptr;
+        { const Tile t(256, 512); dead = t.data(); }
+        std::printf("%f\n", dead[1000]);
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
+}
+
+TEST(TileStorageFork, ChildStartsWithEmptyCache) {
+  // Fork while another thread allocates and frees large tiles: the child
+  // must not inherit a held cache lock, and starts with nothing cached.
+  { const Tile warm(512, 512); }
+  ASSERT_GT(tile_storage_stats().cached_bytes, 0u);
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    while (!stop.load()) {
+      Tile t(256, 700);
+      t.fill(1.0);
+    }
+  });
+  const pid_t pid = fork();
+  if (pid == 0) {
+    alarm(20);  // a deadlock ends the child by SIGALRM
+    int rc = 0;
+    if (tile_storage_stats().cached_bytes != 0) rc = 2;
+    if (rc == 0) {
+      Tile t(512, 600);
+      if (!all_zero(t)) rc = 3;
+    }
+    if (rc == 0 && tile_storage_stats().cached_bytes == 0) rc = 4;
+    _exit(rc);
+  }
+  stop = true;
+  churn.join();
+  ASSERT_GE(pid, 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status)
+                                                         : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: inherited cache, 3: nonzero tile, 4: freed tile not cached";
 }
 
 TEST(Tile, ColumnMajorLayout) {
