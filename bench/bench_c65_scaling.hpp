@@ -4,6 +4,10 @@
 /// Shared sweep for paper Figures 7, 8 and 9: the C65H132 ABCD contraction
 /// with tilings v1/v2/v3 on 3..108 V100s.
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -53,6 +57,58 @@ inline std::vector<ScalingPoint> run_c65_scaling() {
     }
   }
   return points;
+}
+
+/// Check the Figure 7-9 shapes EXPERIMENTS.md states against a sweep;
+/// prints each violation and returns 0 when every shape holds, else 1
+/// (the figure benches' exit code, so CI fails on a broken shape):
+///  * time falls monotonically with GPUs for every tiling (Fig 7);
+///  * v1 is the slowest tiling at 3 GPUs (Fig 7);
+///  * per GPU, v3 is the fastest tiling at every count, and v2 beats v1
+///    up to 48 GPUs (Fig 8);
+///  * aggregate performance rises with GPUs up to 108 for every tiling
+///    (Fig 9).
+inline int check_c65_shapes(const std::vector<ScalingPoint>& points) {
+  int failures = 0;
+  const auto fail = [&](const std::string& what) {
+    std::printf("shape check failed: %s\n", what.c_str());
+    ++failures;
+  };
+  std::map<std::string, std::map<int, ScalingPoint>> by;  // tiling -> gpus
+  for (const ScalingPoint& p : points) by[p.tiling][p.gpus] = p;
+  for (const auto& [tiling, sweep] : by) {
+    const ScalingPoint* prev = nullptr;
+    for (const auto& [gpus, p] : sweep) {
+      if (prev != nullptr && p.time_s >= prev->time_s) {
+        fail(tiling + " time does not fall from " +
+             std::to_string(prev->gpus) + " to " + std::to_string(gpus) +
+             " GPUs");
+      }
+      if (prev != nullptr && p.tflops <= prev->tflops) {
+        fail(tiling + " aggregate performance does not rise from " +
+             std::to_string(prev->gpus) + " to " + std::to_string(gpus) +
+             " GPUs");
+      }
+      prev = &p;
+    }
+  }
+  if (by["v1"][3].time_s <= std::max(by["v2"][3].time_s, by["v3"][3].time_s)) {
+    fail("v1 is not the slowest tiling at 3 GPUs");
+  }
+  for (const auto& [gpus, v3] : by["v3"]) {
+    const double v2 = by["v2"][gpus].tflops_per_gpu;
+    const double v1 = by["v1"][gpus].tflops_per_gpu;
+    if (v3.tflops_per_gpu <= std::max(v2, v1)) {
+      fail("v3 is not the fastest tiling per GPU at " + std::to_string(gpus) +
+           " GPUs");
+    }
+    if (gpus <= 48 && v2 <= v1) {
+      fail("v2 does not beat v1 per GPU at " + std::to_string(gpus) +
+           " GPUs");
+    }
+  }
+  std::printf("figure 7-9 shapes: %s\n", failures == 0 ? "all hold" : "BROKEN");
+  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace bstc::bench

@@ -29,5 +29,5 @@ int main() {
                    fmt_percent(p.parallel_efficiency)});
   }
   print_table("Figure 7 (time to completion)", table);
-  return 0;
+  return check_c65_shapes(points);
 }

@@ -24,5 +24,5 @@ int main() {
                    fmt_percent(p.tflops_per_gpu / 7.2)});
   }
   print_table("Figure 8 (per-GPU performance)", table);
-  return 0;
+  return check_c65_shapes(points);
 }

@@ -23,16 +23,5 @@ int main() {
   }
   print_table("Figure 9 (aggregate performance)", table);
 
-  // Monotonicity check mirrored from the paper's observation.
-  bool monotone = true;
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    if (points[i].gpus > points[i - 1].gpus &&
-        std::string(points[i].tiling) == points[i - 1].tiling &&
-        points[i].tflops < points[i - 1].tflops) {
-      monotone = false;
-    }
-  }
-  std::printf("aggregate performance monotone in #GPUs: %s\n",
-              monotone ? "yes" : "no");
-  return 0;
+  return check_c65_shapes(points);
 }

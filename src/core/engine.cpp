@@ -5,8 +5,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "comm/transport.hpp"
@@ -113,36 +113,7 @@ struct CallState final : TaskDispatch {
   }
 
   void name(const TaskNode& t, std::string& out) const override {
-    // "kind(n<node>,b<block>[,<prefix><index>])"
-    auto block_task = [&](const char* kind, const char* index_prefix) {
-      out.append(kind).append("(n").append(std::to_string(t.node));
-      out.append(",b").append(std::to_string(t.block));
-      if (index_prefix != nullptr) {
-        out.append(",").append(index_prefix).append(std::to_string(t.index));
-      }
-      out.append(")");
-    };
-    switch (static_cast<TaskKind>(t.kind)) {
-      case TaskKind::kASend: {
-        const LoweredPlan::ASend& send = lowered.a_sends[t.index];
-        out.append("asend(").append(std::to_string(send.i)).append(",");
-        out.append(std::to_string(send.k)).append("->x");
-        out.append(std::to_string(send.consumers.size())).append(")");
-        return;
-      }
-      case TaskKind::kGen: return block_task("gen", "p");
-      case TaskKind::kLoad: return block_task("load", "p");
-      case TaskKind::kChunkLoad: return block_task("chunkload", "");
-      case TaskKind::kGemmBatch: {
-        const GemmGroup& grp = lowered.groups[t.index];
-        out.append("gemmbatch(").append(std::to_string(grp.k)).append(",");
-        out.append(std::to_string(grp.j)).append(",x");
-        out.append(std::to_string(grp.is.size())).append(")");
-        return;
-      }
-      case TaskKind::kChunkUnload: return block_task("chunkunload", "");
-      case TaskKind::kStore: return block_task("store", nullptr);
-    }
+    task_name(lowered, t, out);
   }
 
   const BlockPlan& block_of(const TaskNode& t) const {
@@ -320,6 +291,33 @@ struct CallState final : TaskDispatch {
   std::vector<std::vector<BlockResidence>> residences;
 };
 
+/// Visit every (block, item) of `node` in consumption order, where block
+/// `bi` has items(bi) items: round r holds the r-th block of every GPU,
+/// and within a round item x of each such block comes before item x + 1
+/// of any, so every device gets its first item early instead of waiting
+/// for the whole of another device's block.
+template <typename Items, typename Visit>
+void for_each_in_rounds(const NodePlan& node, Items items, Visit visit) {
+  std::map<std::uint32_t, std::vector<std::size_t>> blocks_of_gpu;
+  std::size_t rounds = 0;
+  for (std::size_t bi = 0; bi < node.blocks.size(); ++bi) {
+    auto& blocks = blocks_of_gpu[node.blocks[bi].gpu];
+    blocks.push_back(bi);
+    rounds = std::max(rounds, blocks.size());
+  }
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t x = 0;; ++x) {
+      bool any = false;
+      for (const auto& [gpu, blocks] : blocks_of_gpu) {
+        if (r >= blocks.size() || x >= items(blocks[r])) continue;
+        any = true;
+        visit(blocks[r], x);
+      }
+      if (!any) break;
+    }
+  }
+}
+
 TaskId add_task(TaskGraph& graph, std::uint32_t queue, TaskKind kind,
                 std::size_t node, std::size_t block, std::size_t index = 0) {
   return graph.add_task(queue, static_cast<std::uint8_t>(kind),
@@ -357,6 +355,40 @@ EngineResult contract_with_plan(const ExecutionPlan& plan,
                                          machine, cfg);
   result.wall_seconds = timer.elapsed_s();
   return result;
+}
+
+void task_name(const LoweredPlan& lowered, const TaskNode& task,
+               std::string& out) {
+  // "kind(n<node>,b<block>[,<prefix><index>])"
+  auto block_task = [&](const char* kind, const char* index_prefix) {
+    out.append(kind).append("(n").append(std::to_string(task.node));
+    out.append(",b").append(std::to_string(task.block));
+    if (index_prefix != nullptr) {
+      out.append(",").append(index_prefix).append(std::to_string(task.index));
+    }
+    out.append(")");
+  };
+  switch (static_cast<TaskKind>(task.kind)) {
+    case TaskKind::kASend: {
+      const LoweredPlan::ASend& send = lowered.a_sends[task.index];
+      out.append("asend(").append(std::to_string(send.i)).append(",");
+      out.append(std::to_string(send.k)).append("->x");
+      out.append(std::to_string(send.consumers.size())).append(")");
+      return;
+    }
+    case TaskKind::kGen: return block_task("gen", "p");
+    case TaskKind::kLoad: return block_task("load", "p");
+    case TaskKind::kChunkLoad: return block_task("chunkload", "");
+    case TaskKind::kGemmBatch: {
+      const GemmGroup& grp = lowered.groups[task.index];
+      out.append("gemmbatch(").append(std::to_string(grp.k)).append(",");
+      out.append(std::to_string(grp.j)).append(",x");
+      out.append(std::to_string(grp.is.size())).append(")");
+      return;
+    }
+    case TaskKind::kChunkUnload: return block_task("chunkunload", "");
+    case TaskKind::kStore: return block_task("store", nullptr);
+  }
 }
 
 bool LoweredPlan::fits(const EngineConfig& cfg) const {
@@ -399,41 +431,56 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
   }
   low.num_queues = next_queue;
 
-  // Messages for remote A tiles: per consumer node, the unique remote
-  // tiles it needs; their home nodes get root send tasks. Per A tile: its
-  // home rank and the ascending list of consumer ranks. One *collective*
-  // send per tile (not one per consumer) so the transport can serialize
-  // once and fan out tree/ring/shm; ordered map for deterministic task
-  // creation.
-  std::map<std::uint64_t, std::pair<int, std::vector<int>>> a_sends;
+  // Messages for remote A tiles: per A tile, its home rank and the
+  // ascending list of consumer ranks. One *collective* send per tile (not
+  // one per consumer) so the transport can serialize once and fan out
+  // tree/ring/shm. A home sends its tiles in first-need order: by the
+  // earliest position at which any consumer loads the tile in its chunk
+  // sequence (chunks in consumption order), ties by (i, k), so the first
+  // chunks of every consumer fill before the last ones.
+  struct PendingSend {
+    std::size_t first_need = 0;
+    LoweredPlan::ASend send;
+  };
+  std::vector<PendingSend> sends;
+  std::unordered_map<std::uint64_t, std::size_t> send_of_tile;
   for (int n = 0; n < num_nodes; ++n) {
-    std::unordered_set<std::uint64_t> needed;
-    for (const BlockPlan& block :
-         plan.nodes[static_cast<std::size_t>(n)].blocks) {
-      for (const Chunk& chunk : block.chunks) {
-        for (const auto& [i, k] : chunk.a_tiles) {
-          const int home = plan.grid.home_of(i, k);
-          if (home == n) continue;
-          // Each rank runs only its *own* send tasks in distributed mode
-          // (it holds only its home share of A authoritatively).
-          if (distributed && home != cfg.local_rank) continue;
-          if (!needed.insert(tile_key(i, k)).second) continue;
-          auto& entry = a_sends[tile_key(i, k)];
-          entry.first = home;
-          entry.second.push_back(n);  // ascending: the n loop ascends
-        }
-      }
-    }
+    const NodePlan& node_plan = plan.nodes[static_cast<std::size_t>(n)];
+    std::size_t position = 0;
+    for_each_in_rounds(
+        node_plan,
+        [&](std::size_t bi) { return node_plan.blocks[bi].chunks.size(); },
+        [&](std::size_t bi, std::size_t ci) {
+          for (const auto& [i, k] : node_plan.blocks[bi].chunks[ci].a_tiles) {
+            const int home = plan.grid.home_of(i, k);
+            if (home == n) continue;
+            // Each rank runs only its *own* send tasks in distributed mode
+            // (it holds only its home share of A authoritatively).
+            if (distributed && home != cfg.local_rank) continue;
+            const auto [it, fresh] =
+                send_of_tile.try_emplace(tile_key(i, k), sends.size());
+            if (fresh) sends.push_back({position, {i, k, home, {}}});
+            PendingSend& pending = sends[it->second];
+            pending.first_need = std::min(pending.first_need, position);
+            LoweredPlan::ASend& send = pending.send;
+            // Ascending, once per consumer: the n loop ascends.
+            if (send.consumers.empty() || send.consumers.back() != n) {
+              send.consumers.push_back(n);
+            }
+          }
+          ++position;
+        });
   }
-
+  std::sort(sends.begin(), sends.end(),
+            [](const PendingSend& x, const PendingSend& y) {
+              return std::tie(x.first_need, x.send.i, x.send.k) <
+                     std::tie(y.first_need, y.send.i, y.send.k);
+            });
   TaskGraph& graph = low.graph;
-  for (auto& [key, home_consumers] : a_sends) {
-    add_task(graph, static_cast<std::uint32_t>(home_consumers.first),
+  for (PendingSend& pending : sends) {
+    add_task(graph, static_cast<std::uint32_t>(pending.send.home),
              TaskKind::kASend, 0, 0, low.a_sends.size());
-    low.a_sends.push_back({static_cast<std::uint32_t>(key >> 32),
-                           static_cast<std::uint32_t>(key & 0xffffffffu),
-                           home_consumers.first,
-                           std::move(home_consumers.second)});
+    low.a_sends.push_back(std::move(pending.send));
   }
 
   low.prefetch_depth.resize(static_cast<std::size_t>(num_nodes));
@@ -447,32 +494,14 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
 
     // --- Gen tasks, created first and in consumption order. ---
     // They are the CPU queue's roots, which it runs in creation order.
-    // Round r holds the r-th block of every GPU, and within a round
-    // piece p of each such block comes before piece p + 1 of any, so
-    // every device gets its first piece early instead of waiting for
-    // the whole of another device's block.
-    std::map<std::uint32_t, std::vector<std::size_t>> blocks_of_gpu;
-    std::size_t rounds = 0;
-    for (std::size_t bi = 0; bi < node_plan.blocks.size(); ++bi) {
-      auto& blocks = blocks_of_gpu[node_plan.blocks[bi].gpu];
-      blocks.push_back(bi);
-      rounds = std::max(rounds, blocks.size());
-    }
     std::vector<std::vector<TaskId>> gen_of_piece(node_plan.blocks.size());
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t pi = 0;; ++pi) {
-        bool any = false;
-        for (const auto& [gpu, blocks] : blocks_of_gpu) {
-          if (r >= blocks.size()) continue;
-          const std::size_t bi = blocks[r];
-          if (pi >= node_plan.blocks[bi].pieces.size()) continue;
-          any = true;
+    for_each_in_rounds(
+        node_plan,
+        [&](std::size_t bi) { return node_plan.blocks[bi].pieces.size(); },
+        [&](std::size_t bi, std::size_t pi) {
           gen_of_piece[bi].push_back(
               add_task(graph, cpu_queue, TaskKind::kGen, node, bi, pi));
-        }
-        if (!any) break;
-      }
-    }
+        });
 
     // Per GPU: the previous block's store task (for sequential-block
     // control edges).

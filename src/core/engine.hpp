@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,6 +184,13 @@ struct LoweredPlan {
   /// Whether a call configured by `cfg` may run this lowering.
   bool fits(const EngineConfig& cfg) const;
 };
+
+/// Append the span name of `task`, a task of `lowered`'s graph, to `out`:
+/// "gen(n0,b1,p2)", "chunkload(n0,b1,3)", "gemmbatch(k,j,x<rows>)",
+/// "asend(i,k->x<consumers>)", ... The executor's task spans and the
+/// simulator's predicted spans both carry these names.
+void task_name(const LoweredPlan& lowered, const TaskNode& task,
+               std::string& out);
 
 /// Lower `plan` (built for these shapes and this machine) to its task
 /// graph, checking the graph once: it must be acyclic, and each block must

@@ -8,8 +8,8 @@
 /// InfiniBand between nodes). Every decision in the paper's algorithm keys
 /// off capacities and bandwidths — GPU memory, host-device bandwidth,
 /// device peak — so a machine model carrying exactly those quantities lets
-/// the same inspector plans be executed by the discrete-event simulator at
-/// Summit scale.
+/// the discrete-event simulator replay the executor's task graph for the
+/// same inspector plans at Summit scale.
 
 #include <cstddef>
 

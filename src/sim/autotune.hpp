@@ -23,10 +23,11 @@ namespace bstc {
 struct GridCandidate {
   int p = 0;
   int q = 0;
+  /// Infinite when the executor cannot lower the grid's plan.
   double makespan_s = 0.0;
   double a_network_bytes = 0.0;
   double b_generated_bytes = 0.0;  ///< host pressure of replication
-  bool feasible = true;            ///< host memory fits
+  bool feasible = true;  ///< the plan lowers and host memory fits
 };
 
 /// Autotune output.
@@ -38,8 +39,10 @@ struct GridSearchResult {
 };
 
 /// Evaluate every p in [1, machine.nodes] dividing the node count (so
-/// q = nodes / p exactly), skipping grids whose replicated B exceeds the
-/// per-node host memory, and pick the fastest feasible grid. `base`
+/// q = nodes / p exactly), marking infeasible the grids whose plan the
+/// executor cannot lower or whose replicated B exceeds the per-node host
+/// memory, and pick the fastest feasible grid. Throws bstc::Error when no
+/// grid can be lowered. `base`
 /// supplies the non-grid knobs (budgets, policies).
 GridSearchResult autotune_grid(const Shape& a, const Shape& b, const Shape& c,
                                const MachineModel& machine,

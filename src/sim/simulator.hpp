@@ -1,28 +1,28 @@
 #pragma once
 
 /// \file simulator.hpp
-/// Performance simulator: executes an inspector ExecutionPlan against a
-/// MachineModel and predicts the timing the paper measures on Summit.
+/// Performance simulator: predicts the timing the paper measures on
+/// Summit by replaying the executor's task graph for an ExecutionPlan.
 ///
-/// The simulation operates at the granularity the algorithm itself
-/// operates at — pieces, chunks and blocks — with per-GPU transfer and
-/// compute engines that overlap exactly as the paper's control DAG allows:
-///  * per GPU, piece staging and chunk A loads are serialized on the
-///    transfer engine; kernels are serialized on the compute engine;
-///  * chunk i's compute starts when its load and the previous chunk's
-///    compute are done; chunk i's load may run one chunk ahead
-///    (the 25% + 25% prefetch scheme);
-///  * blocks are strictly sequential per GPU ("the transfer of the next
-///    block cannot start before operations on the current block are
-///    completed", §3.2.2);
-///  * B tiles are generated on the node's CPUs before staging;
-///  * remote A tiles stream into each node at the inter-node bandwidth in
-///    the background; a chunk stalls until its share has arrived (§5.1:
-///    "execution stalls until the required tiles are received").
-///
-/// Kernel times use the V100 GEMM roofline of GpuSpec. See DESIGN.md for
-/// the fidelity argument and the simplifications (C return drain and
-/// device-to-device copies are not separately modelled).
+/// simulate() lowers the plan with lower_plan (core/engine.hpp) and
+/// list-schedules the sealed TaskGraph: all ordering (round-robin B
+/// generation, blocks sequential per GPU, bounded prefetch, first-need A
+/// sends) is the graph's edges. A task starts once its predecessors have
+/// ended and its resource is free; a resource runs its ready tasks FIFO,
+/// like a scheduler lane. Resources and prices per TaskKind:
+///  * gen: node CPU, piece B bytes / generation_rate;
+///  * load, chunkload, store: the GPU's transfer engine, task_overhead_s +
+///    tiles x transfer_latency_s + bytes / h2d_bandwidth (chunk tiles a
+///    sibling GPU loaded first move at d2d_bandwidth; store is d2h_time);
+///  * gemmbatch: the GPU's compute engine, per tile GEMM roofline time /
+///    sustained_kernel_fraction + task_overhead_s;
+///  * asend: each consumer node's link (internode_bandwidth x
+///    network_efficiency), receiving in asend order; a chunkload is ready
+///    only once its remote tiles have arrived (§5.1 stall);
+///  * chunkunload: free.
+/// Remote C leaves through the node's link after its block's store. A plan
+/// the executor refuses is refused with the same error. See DESIGN.md §2,
+/// §11.
 
 #include <vector>
 
@@ -56,10 +56,9 @@ struct SimConfig {
   /// tile-grained A broadcast (many-MB point-to-point messages fanning
   /// out along grid rows, not a tree collective).
   double network_efficiency = 0.5;
-  /// When non-null, the simulator appends every piece staging, chunk load
-  /// and chunk compute span here as a `task` span in *simulated* seconds
-  /// (lane = flattened GPU index) — the predicted counterpart of the task
-  /// spans the real engine records into obs::Registry.
+  /// When non-null, one `task` span per task of the lowered graph is
+  /// appended here in task id order, in *simulated* seconds, with the name
+  /// (task_name) and lane (queue id) the executor's span would have.
   std::vector<obs::Span>* trace = nullptr;
 };
 
@@ -83,7 +82,8 @@ struct SimResult {
   PlanStats plan_stats;
 };
 
-/// Simulate `plan` on `machine` for the product (a, b, c).
+/// Simulate `plan` on `machine` for the product (a, b, c). Throws
+/// bstc::Error when the executor would refuse the plan.
 SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
                    const Shape& c, const MachineModel& machine,
                    const SimConfig& cfg = {});

@@ -32,21 +32,30 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
-bool Args::has(const std::string& key) const {
+void Args::query(const std::string& key) const {
+  if (sealed_ && queried_.count(key) == 0) {
+    throw Error("option --" + key + " is read but was not declared");
+  }
   queried_[key] = true;
+}
+
+void Args::seal() const { sealed_ = true; }
+
+bool Args::has(const std::string& key) const {
+  query(key);
   return options_.count(key) > 0;
 }
 
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
-  queried_[key] = true;
+  query(key);
   const auto it = options_.find(key);
   return it == options_.end() ? fallback : it->second;
 }
 
 std::int64_t Args::get_int(const std::string& key,
                            std::int64_t fallback) const {
-  queried_[key] = true;
+  query(key);
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
   char* end = nullptr;
@@ -58,7 +67,7 @@ std::int64_t Args::get_int(const std::string& key,
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  queried_[key] = true;
+  query(key);
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
   char* end = nullptr;
@@ -70,7 +79,7 @@ double Args::get_double(const std::string& key, double fallback) const {
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {
-  queried_[key] = true;
+  query(key);
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
   if (it->second == "true" || it->second == "1" || it->second == "yes") {
@@ -90,10 +99,6 @@ std::vector<std::string> Args::unused() const {
     if (!queried_.count(key)) out.push_back(key);
   }
   return out;
-}
-
-void Args::allow(std::initializer_list<const char*> keys) const {
-  for (const char* key : keys) queried_[key] = true;
 }
 
 std::vector<std::string> Args::known() const {

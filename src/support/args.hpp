@@ -34,21 +34,22 @@ class Args {
   /// Keys that were provided but never queried — typo detection.
   std::vector<std::string> unused() const;
 
-  /// Declare flags as known without reading them (help/validation
-  /// plumbing): marks them queried so reject_unknown() accepts them even
-  /// when the reading code path never runs (e.g. `--nodes` when `--gpus`
-  /// took precedence).
-  void allow(std::initializer_list<const char*> keys) const;
-
-  /// All keys queried (or allowed) so far — the de-facto known-flag set.
+  /// All keys queried so far — the de-facto known-flag set.
   std::vector<std::string> known() const;
 
-  /// Throw bstc::Error if any provided option was never queried/allowed,
+  /// Throw bstc::Error if any provided option was never queried,
   /// naming each unknown flag and suggesting the nearest known one
   /// ("unknown option --densty (did you mean --density?)"). Call after
-  /// all flags have been read; a typo then fails loudly instead of
-  /// silently falling back to the default.
+  /// all flags have been read (or after querying a declared flag table
+  /// with has()); a typo then fails loudly instead of silently falling
+  /// back to the default.
   void reject_unknown() const;
+
+  /// Freeze the known-flag set: from now on, querying a key that was not
+  /// queried before throws bstc::Error. A tool that declares its flags
+  /// up front (has() on each) and then seals finds any read of a flag
+  /// its declaration misses.
+  void seal() const;
 
   /// Edit-distance-nearest candidate to `key`, or "" when nothing is
   /// plausibly close. Exposed for tests.
@@ -58,7 +59,11 @@ class Args {
  private:
   std::string program_;
   std::map<std::string, std::string> options_;
+  /// Mark `key` queried; throws when sealed and `key` is new.
+  void query(const std::string& key) const;
+
   mutable std::map<std::string, bool> queried_;
+  mutable bool sealed_ = false;
   std::vector<std::string> positional_;
 };
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bsm/block_sparse_matrix.hpp"
 #include "shape/shape_algebra.hpp"
 #include "sim/autotune.hpp"
@@ -146,6 +148,35 @@ TEST(Autotune, HostMemoryLimitExcludesHighReplication) {
   }
   EXPECT_TRUE(p4_infeasible);
   EXPECT_TRUE(result.best_candidate().feasible);
+}
+
+TEST(Autotune, GridsThatCannotBeLoweredAreInfeasible) {
+  // One column of C alone (8 tiles of 1000 x 1000 over p grid rows) plus
+  // its smallest B segment leaves less than one 8 MB A tile of a 78 MB
+  // device at p = 1, so the executor cannot lower that plan; at p = 2 and
+  // p = 4 the C column halves and quarters and the plans lower.
+  const Tiling mt = Tiling::uniform(8000, 1000);
+  const Tiling kt = Tiling::uniform(4000, 1000);
+  const Tiling nt = Tiling::uniform(4000, 1000);
+  const Shape a = Shape::dense(mt, kt);
+  const Shape b = Shape::dense(kt, nt);
+  const Shape c = contract_shape(a, b);
+  MachineModel machine = MachineModel::summit(4);
+  machine.node.gpu.memory_bytes = 78.0e6;
+  const GridSearchResult result = autotune_grid(a, b, c, machine);
+  ASSERT_EQ(result.candidates.size(), 3u);
+  EXPECT_EQ(result.candidates[0].p, 1);
+  EXPECT_FALSE(result.candidates[0].feasible);
+  EXPECT_TRUE(std::isinf(result.candidates[0].makespan_s));
+  for (std::size_t x = 1; x < result.candidates.size(); ++x) {
+    EXPECT_TRUE(result.candidates[x].feasible) << result.candidates[x].p;
+    EXPECT_TRUE(std::isfinite(result.candidates[x].makespan_s));
+  }
+  EXPECT_NE(result.best_candidate().p, 1);
+
+  // No grid lowers: nothing to choose from.
+  machine.node.gpu.memory_bytes = 20.0e6;
+  EXPECT_THROW(autotune_grid(a, b, c, machine), Error);
 }
 
 }  // namespace

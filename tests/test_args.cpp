@@ -82,7 +82,8 @@ TEST(Args, RejectUnknownSuggestsNearestFlag) {
 TEST(Args, RejectUnknownPassesWhenAllFlagsKnown) {
   const Args args = parse({"prog", "--m", "10", "--gpus", "2"});
   EXPECT_EQ(args.get_int("m", 0), 10);
-  args.allow({"gpus", "nodes"});  // branch-dependent flags pre-declared
+  (void)args.has("gpus");  // branch-dependent flags declared up front
+  (void)args.has("nodes");
   EXPECT_NO_THROW(args.reject_unknown());
 }
 
@@ -103,6 +104,23 @@ TEST(Args, NearestFlagEditDistance) {
   EXPECT_EQ(Args::nearest_flag("densit", known), "density");
   EXPECT_EQ(Args::nearest_flag("gpumem", known), "gpu-mem");
   EXPECT_EQ(Args::nearest_flag("x", known), "");  // nothing plausible
+}
+
+TEST(Args, SealedArgsRejectUndeclaredReads) {
+  const Args args = parse({"prog", "--m", "10"});
+  (void)args.has("m");
+  (void)args.has("n");
+  args.reject_unknown();
+  args.seal();
+  EXPECT_EQ(args.get_int("m", 0), 10);
+  EXPECT_EQ(args.get_int("n", 7), 7);  // declared, absent: the default
+  try {
+    (void)args.get_int("k", 0);
+    FAIL() << "an undeclared read did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--k"), std::string::npos);
+  }
+  EXPECT_THROW((void)args.has("gpus"), Error);
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <set>
 #include <thread>
+#include <tuple>
 
 #include "bsm/block_sparse_matrix.hpp"
 #include "core/engine.hpp"
@@ -123,6 +126,57 @@ TEST(Replay, OneLoweringRunsManyTimesBitwise) {
     EXPECT_LE(result.b_max_generations, 1u);
   }
   EXPECT_EQ(lowerings(), before + 1) << "replays lower nothing";
+}
+
+TEST(Replay, ASendsComeInFirstNeedOrder) {
+  // 1x2 grid, one device per rank: a rank's chunk sequence is its blocks'
+  // chunks in plan order. Each asend's tile is first needed at the
+  // earliest position any consumer (not its home) loads it; the sends
+  // follow that order (ties by tile), not tile order.
+  Problem p(96, 240, 240, 0.7, 0.6, 17);
+  MachineModel machine = MachineModel::summit(2);
+  machine.node.gpus = 1;
+  machine.gpu_total = 2;
+  machine.node.gpu.memory_bytes = 1.0e5;
+  const ExecutionPlan plan = build_plan(p.a.shape(), p.b_shape, p.c_shape,
+                                        machine, PlanConfig{});
+  ASSERT_EQ(plan.grid.q, 2);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> first_need;
+  for (int n = 0; n < plan.grid.nodes(); ++n) {
+    std::size_t position = 0;
+    const NodePlan& node = plan.nodes[static_cast<std::size_t>(n)];
+    for (const BlockPlan& block : node.blocks) {
+      for (const Chunk& chunk : block.chunks) {
+        for (const auto& tile : chunk.a_tiles) {
+          if (plan.grid.home_of(tile.first, tile.second) == n) continue;
+          const auto [it, fresh] = first_need.try_emplace(tile, position);
+          if (!fresh) it->second = std::min(it->second, position);
+        }
+        ++position;
+      }
+    }
+  }
+  const auto lowered = lower_plan(plan, p.a.shape(), p.b_shape, p.c_shape,
+                                  machine, EngineConfig{});
+  const std::vector<LoweredPlan::ASend>& sends = lowered->a_sends;
+  ASSERT_GT(sends.size(), 1u);
+  std::set<std::size_t> positions;
+  const auto key = [&](const LoweredPlan::ASend& send) {
+    return std::make_tuple(first_need.at({send.i, send.k}), send.i, send.k);
+  };
+  for (std::size_t x = 1; x < sends.size(); ++x) {
+    EXPECT_LT(key(sends[x - 1]), key(sends[x])) << x;
+    positions.insert(std::get<0>(key(sends[x])));
+  }
+  EXPECT_GT(positions.size(), 1u) << "the problem needs several chunks";
+  // The asend tasks are created in the same order.
+  std::size_t next = 0;
+  for (TaskId t = 0; t < lowered->graph.size(); ++t) {
+    const TaskNode& task = lowered->graph.task(t);
+    if (static_cast<TaskKind>(task.kind) != TaskKind::kASend) continue;
+    EXPECT_EQ(task.index, next++);
+  }
+  EXPECT_EQ(next, sends.size());
 }
 
 TEST(Replay, SessionItersAndHotSubmitsAreBitwiseAndLowerOnce) {

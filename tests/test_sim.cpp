@@ -1,8 +1,15 @@
 /// Tests for the performance simulator: analytic lower bounds, overlap
-/// behaviour, scaling trends and consistency with plan statistics.
+/// behaviour, scaling trends, consistency with plan statistics, and
+/// replay of the executor's task graph.
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "bsm/block_sparse_matrix.hpp"
+#include "core/engine.hpp"
+#include "obs/obs.hpp"
 #include "plan/builder.hpp"
 #include "shape/shape_algebra.hpp"
 #include "sim/simulator.hpp"
@@ -136,6 +143,7 @@ TEST(Simulator, PerGpuStatsConsistent) {
 }
 
 TEST(Simulator, TraceRecordsPipelineSpans) {
+  // The simulator's spans carry the executor's task names and lanes.
   SimProblem p(6000, 24000, 24000, 0.5, 0.5, 23);
   const MachineModel machine = MachineModel::summit(1);
   std::vector<obs::Span> trace;
@@ -144,19 +152,73 @@ TEST(Simulator, TraceRecordsPipelineSpans) {
   const SimResult r =
       simulate_contraction(p.a, p.b, p.c, machine, PlanConfig{}, scfg);
   EXPECT_GT(trace.size(), 0u);
-  bool saw_stage = false, saw_compute = false, saw_load = false;
+  std::set<std::string> kinds;
   for (const obs::Span& e : trace) {
     EXPECT_EQ(e.category, obs::Category::kTask);
-    EXPECT_LT(e.lane, r.gpus.size());
+    EXPECT_LT(e.lane, 1u + r.gpus.size());  // 1 CPU queue, then devices
     EXPECT_LE(e.start_s, e.end_s);
     EXPECT_LE(e.end_s, r.makespan_s + 1e-9);
-    saw_stage |= e.name.rfind("stage", 0) == 0;
-    saw_compute |= e.name.rfind("compute", 0) == 0;
-    saw_load |= e.name.rfind("chunkload", 0) == 0;
+    kinds.insert(e.name.substr(0, e.name.find('(')));
   }
-  EXPECT_TRUE(saw_stage);
-  EXPECT_TRUE(saw_compute);
-  EXPECT_TRUE(saw_load);
+  EXPECT_EQ(kinds, (std::set<std::string>{"chunkload", "chunkunload",
+                                          "gemmbatch", "gen", "load",
+                                          "store"}));
+}
+
+TEST(Simulator, HonoursEveryGraphEdge) {
+  // 2 nodes of 1 device on a 1x2 grid, so A travels as asend messages.
+  Rng rng(5);
+  const Tiling mt = Tiling::uniform(32, 8);
+  const Tiling kt = Tiling::uniform(64, 8);
+  const Tiling nt = Tiling::uniform(64, 8);
+  const Shape a_shape = Shape::dense(mt, kt);
+  const Shape b_shape = Shape::dense(kt, nt);
+  const Shape c_shape = contract_shape(a_shape, b_shape);
+  const BlockSparseMatrix a = BlockSparseMatrix::random(a_shape, rng);
+  MachineModel machine = MachineModel::summit(2);
+  machine.node.gpus = 1;
+  machine.gpu_total = 2;
+  machine.node.gpu.memory_bytes = 1e4;
+  const ExecutionPlan plan =
+      build_plan(a_shape, b_shape, c_shape, machine, PlanConfig{});
+
+  std::vector<obs::Span> sim_spans;
+  SimConfig scfg;
+  scfg.trace = &sim_spans;
+  simulate(plan, a_shape, b_shape, c_shape, machine, scfg);
+
+  // One span per task, in task id order: every successor starts at or
+  // after the end of each of its predecessors.
+  EngineConfig cfg;
+  const auto lowered =
+      lower_plan(plan, a_shape, b_shape, c_shape, machine, cfg);
+  const TaskGraph& graph = lowered->graph;
+  ASSERT_EQ(sim_spans.size(), graph.size());
+  std::size_t edges = 0;
+  for (TaskId t = 0; t < graph.size(); ++t) {
+    for (const TaskId s : graph.successors(t)) {
+      EXPECT_GE(sim_spans[s].start_s, sim_spans[t].end_s - 1e-12)
+          << sim_spans[t].name << " -> " << sim_spans[s].name;
+      ++edges;
+    }
+  }
+  EXPECT_EQ(edges, graph.edge_count());
+
+  // The simulated spans are the executor's spans, name for name.
+  obs::Registry& reg = obs::Registry::instance();
+  reg.clear();
+  reg.set_enabled(true);
+  contract_with_plan(plan, a, b_shape, random_tile_generator(b_shape, 9),
+                     c_shape, nullptr, machine, cfg);
+  reg.set_enabled(false);
+  std::multiset<std::string> executed, simulated;
+  for (const obs::Span& s : reg.spans()) {
+    if (s.category == obs::Category::kTask) executed.insert(s.name);
+  }
+  reg.clear();
+  for (const obs::Span& s : sim_spans) simulated.insert(s.name);
+  EXPECT_EQ(simulated, executed);
+  EXPECT_GT(simulated.count("asend(0,1->x1)"), 0u);
 }
 
 TEST(Simulator, FasterHardwareNeverHurts) {
@@ -182,18 +244,28 @@ TEST(Simulator, FasterHardwareNeverHurts) {
             t0 * 1.001);
 }
 
-TEST(Simulator, OversizedBlocksDegradeButComplete) {
-  // Device memory below the largest single column: the plan segments and
-  // flags; the simulator must still produce a finite, bounded makespan.
+TEST(Simulator, RefusesPlansTheExecutorRefuses) {
+  // Device memory below the largest single column: a block leaves no room
+  // for an A chunk, so the executor cannot lower the plan, and the
+  // simulator refuses it with the same error.
   SimProblem p(4000, 16000, 16000, 1.0, 1.0, 31);
   MachineModel machine = MachineModel::summit(1);
   machine.node.gpu.memory_bytes = 64.0e6;  // tiny vs ~hundreds-MB columns
-  PlanConfig cfg;
-  const SimResult r = simulate_contraction(p.a, p.b, p.c, machine, cfg);
-  EXPECT_GT(r.makespan_s, 0.0);
-  EXPECT_LT(r.makespan_s, 1e6);
-  EXPECT_GT(r.plan_stats.segmented_columns + r.plan_stats.oversized_blocks,
-            0u);
+  const ExecutionPlan plan = build_plan(p.a, p.b, p.c, machine, PlanConfig{});
+  std::string executor_error, simulator_error;
+  try {
+    lower_plan(plan, p.a, p.b, p.c, machine, EngineConfig{});
+  } catch (const Error& e) {
+    executor_error = e.what();
+  }
+  try {
+    simulate(plan, p.a, p.b, p.c, machine);
+  } catch (const Error& e) {
+    simulator_error = e.what();
+  }
+  EXPECT_NE(executor_error.find("no room for any A chunk"), std::string::npos)
+      << executor_error;
+  EXPECT_EQ(simulator_error, executor_error);
 }
 
 TEST(Simulator, ReplicationReducesNetworkStall) {

@@ -25,9 +25,10 @@
 ///   bstc_cli program-run --program ccsd-doubles --iters 3 --ranks 4
 ///   bstc_cli launch --np 4 --p 2 --m 96 --k 480 --n 480
 ///
-/// Unknown flags are rejected with a nearest-known-flag suggestion
-/// (Args::reject_unknown), so a typo fails loudly instead of silently
-/// running with the default.
+/// Each subcommand declares its flags in one table (kCommands). A flag
+/// not in the command's table is rejected with a nearest-known-flag
+/// suggestion (Args::reject_unknown) before the command runs, so a typo
+/// fails loudly instead of silently running with the default.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -75,163 +76,8 @@ using namespace bstc;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Help plumbing: one entry per subcommand, used by `help`, `<cmd> --help`
-// and the top-level usage text.
-
-struct CommandInfo {
-  const char* name;
-  const char* summary;
-  const char* usage;
-};
-
-constexpr const char* kCommonFlags =
-    "  common: --nodes N | --gpus G, --p P, --gpu-mem BYTES, --seed S,\n"
-    "          --assignment mirrored|cyclic|lpt,\n"
-    "          --packing worst-fit|first-fit|best-fit, --prefetch D\n";
-
-const CommandInfo kCommands[] = {
-    {"simulate", "synthetic product on a simulated machine",
-     "usage: bstc_cli simulate [options]\n"
-     "  --m --n --k --density --tile-lo --tile-hi   problem geometry\n"
-     "  --baselines true     also run DBCSR-style + CPU models\n"},
-    {"abcd", "the C65H132-style chemistry workload",
-     "usage: bstc_cli abcd [options]\n"
-     "  --carbons N          alkane chain length (default 65)\n"
-     "  --tiling v1|v2|v3    the paper's three tilings\n"},
-    {"xyz", "a molecule loaded from an .xyz file",
-     "usage: bstc_cli xyz <file.xyz> [options]\n"
-     "  --basis sto-3g|def2-svp|def2-tzvp\n"
-     "  --ao-clusters N --occ-clusters N\n"},
-    {"plan", "build a plan and print structure/statistics",
-     "usage: bstc_cli plan [options]\n"
-     "  --m --n --k --density --tile-lo --tile-hi   problem geometry\n"
-     "  --explain true       per-node narrative of the plan\n"
-     "  --save FILE          serialize the plan to FILE\n"},
-    {"execute", "run the real engine and verify the product",
-     "usage: bstc_cli execute [options]\n"
-     "  --m --n --k --density --tile-lo --tile-hi   problem geometry\n"
-     "  --verify true|false  compare against the reference product\n"
-     "  --trace-out F.json   write a unified obs trace (tasks + plan spans)\n"},
-    {"launch", "run the distributed executor as real OS processes",
-     "usage: bstc_cli launch [options]\n"
-     "  --np N               rank processes, one per grid node (default 4)\n"
-     "  --p P                grid rows; q = np / p (default 2)\n"
-     "  --m --k --n --density --tile-lo --tile-hi --seed   problem geometry\n"
-     "  --gpus-per-node G    device queues per rank (default 1)\n"
-     "  --gpu-mem BYTES      per-device memory budget (default 6e5)\n"
-     "  --host H             rendezvous host (default 127.0.0.1)\n"
-     "  --port P             rendezvous port (default: ephemeral)\n"
-     "  --spawn N            fork only N workers; the remaining np - N\n"
-     "                       join by hand via `bstc_cli worker` (default np)\n"
-     "  --trace-out F.json   gather every rank's spans and write one merged\n"
-     "                       Chrome/Perfetto trace (per-rank process lanes)\n"
-     "  --node-map LIST      node id of each worker, e.g. 0,1,0,1\n"
-     "  --ranks-per-node N   shorthand: workers 0..N-1 on node 0, ...\n"
-     "  --node-aware         pack grid rows onto the fewest nodes (moves\n"
-     "                       the A broadcast off the interconnect)\n"
-     "  --bcast ALG          unicast | tree | ring | auto (default: the\n"
-     "                       BSTC_BCAST env var, else auto)\n"
-     "  --shm-bcast          serve co-located ranks via shared-memory\n"
-     "                       staging rings instead of loopback sockets\n"
-     "  --metrics-out F      write per-rank bstc_wire_* and bstc_bcast_*\n"
-     "                       Prometheus lines\n"
-     "  Forks --np workers of this binary, runs the 2D-grid contraction\n"
-     "  over TCP, verifies C bitwise against a single-process run, and\n"
-     "  checks measured wire bytes against the plan statistics exactly\n"
-     "  (totals and the intra-/inter-node split).\n"},
-    {"worker", "join a launch rendezvous (spawned by `launch`)",
-     "usage: bstc_cli worker --host H --port P [problem flags]\n"
-     "  Normally started by `bstc_cli launch`, not by hand; the problem\n"
-     "  flags must match the launcher's (fingerprints are cross-checked).\n"
-     "  --node-id N          which physical node this rank runs on\n"
-     "  --trace-out F.json   must match the launcher's --trace-out (every\n"
-     "                       rank takes part in the trace gather)\n"},
-    {"serve-batch", "drive the ContractionService with a request mix",
-     "usage: bstc_cli serve-batch [options]\n"
-     "  --workers N          service worker threads (default 2)\n"
-     "  --clients N          concurrent client threads (default 4)\n"
-     "  --queue N            admission-control queue capacity (default 16)\n"
-     "  --cache N            LRU plan-cache capacity (default 32)\n"
-     "  --repeat N           submits per scripted problem (default 4)\n"
-     "  --script FILE        request script; without it a built-in mix\n"
-     "                       of two problems and one session runs\n"
-     "  script lines:  problem m=96 k=480 n=480 density=0.4 seed=1 \\\n"
-     "                   repeat=4 gpus=2 gpu-mem=1e6 [tile-lo=8 tile-hi=24]\n"
-     "                 session m=64 k=320 n=320 density=0.5 iters=6 ...\n"
-     "                 program name=ccsd-doubles m=6 iters=3 seed=7 ...\n"
-     "                 ('#' starts a comment)\n"
-     "  --trace-out F.json   write a span trace of the whole batch\n"
-     "  --metrics-out F.txt  write Prometheus-style text metrics\n"
-     "  --ranks N            distributed mode: fork N serve-worker ranks\n"
-     "                       and route the same request stream over TCP\n"
-     "  --inflight N         per-worker in-flight admission bound (def 8)\n"
-     "  --shm-store NAME     build a shared-memory B-tile store (shm name,\n"
-     "                       e.g. /bstc_store) for the first workload's\n"
-     "                       spec and serve every rank from it zero-copy\n"},
-    {"program-run", "iterate a named contraction program (multi-term DAG)",
-     "usage: bstc_cli program-run [options]\n"
-     "  --program NAME       registered program: abcd | ccsd-doubles\n"
-     "                       (default ccsd-doubles)\n"
-     "  --iters N            program iterations (default 2); A-side\n"
-     "                       tensors are reseeded every iteration, fixed\n"
-     "                       tensors stay cached in node sessions\n"
-     "  --m --k --n --density --tile-lo --tile-hi --seed   problem spec\n"
-     "                       (ccsd-doubles reads --m as the alkane chain\n"
-     "                       length, clamped to [2,65])\n"
-     "  --workers N          service worker threads per rank (default 2)\n"
-     "  --ranks N            also run distributed: fork N serve-worker\n"
-     "                       ranks, iterate the same program over TCP and\n"
-     "                       verify the residual bitwise against the\n"
-     "                       single-process run\n"
-     "  --metrics-out F.txt  Prometheus text: the local service exposition,\n"
-     "                       or per-rank sections in distributed mode\n"},
-    {"serve-worker", "join a distributed serve-batch (spawned by it)",
-     "usage: bstc_cli serve-worker --host H --port P [options]\n"
-     "  Normally started by `bstc_cli serve-batch --ranks N`, not by\n"
-     "  hand. Dials the front rank and serves spec-based requests until\n"
-     "  drained.\n"
-     "  --workers N          service worker threads (default 2)\n"
-     "  --queue N            admission-control queue capacity (default 16)\n"
-     "  --cache N            LRU plan-cache capacity (default 32)\n"
-     "  --shm-ctl NAME       attach this shm store control segment and\n"
-     "                       serve matching requests zero-copy\n"},
-    {"store-build", "materialize a spec's B tiles into a shm store",
-     "usage: bstc_cli store-build [options]\n"
-     "  --name NAME          shm base name (default /bstc_store); the\n"
-     "                       segment is NAME.g<generation>\n"
-     "  --generation N       generation id to seal into the store (def 1)\n"
-     "  --publish true       create NAME.ctl and publish the generation\n"
-     "                       (default true; the control name must be free)\n"
-     "  --m --k --n --density --tile-lo --tile-hi --seed   problem spec\n"
-     "  The spec flags must match the serve workload exactly: workers\n"
-     "  attach by store fingerprint, a mismatch falls back to private\n"
-     "  generator caches.\n"},
-    {"store-inspect", "attach a tile store read-only and print its layout",
-     "usage: bstc_cli store-inspect --name NAME.g1 [options]\n"
-     "  --name NAME          the store segment name (required)\n"
-     "  --tiles true         also list every tile's grid slot and extents\n"},
-};
-
-const CommandInfo* find_command(const std::string& name) {
-  for (const CommandInfo& info : kCommands) {
-    if (name == info.name) return &info;
-  }
-  return nullptr;
-}
-
-void usage() {
-  std::printf("usage: bstc_cli <command> [options]\n\ncommands:\n");
-  for (const CommandInfo& info : kCommands) {
-    std::printf("  %-12s %s\n", info.name, info.summary);
-  }
-  std::printf("\n%s", kCommonFlags);
-  std::printf(
-      "\nrun `bstc_cli help <command>` or `bstc_cli <command> --help`\n");
-}
-
-// ---------------------------------------------------------------------------
-// Shared option readers. Each also declares branch-dependent flags via
-// Args::allow so reject_unknown() accepts e.g. --nodes when --gpus won.
+// Shared option readers. The flags each one reads are listed in the flag
+// groups beside the command table below.
 
 struct SynthProblem {
   Tiling mt, kt, nt;
@@ -257,7 +103,6 @@ SynthProblem make_problem(const Args& args) {
 }
 
 MachineModel make_machine(const Args& args) {
-  args.allow({"nodes", "gpus", "gpu-mem"});
   MachineModel machine =
       args.has("gpus")
           ? MachineModel::summit_gpus(
@@ -957,8 +802,6 @@ void require_shm_name(const std::string& name) {
 /// defaults as a script line, so `store-build` with no flags matches the
 /// built-in serve mix's first workload).
 ServeProblemSpec spec_from_args(const Args& args) {
-  args.allow({"m", "k", "n", "density", "tile-lo", "tile-hi", "seed", "gpus",
-              "gpu-mem", "p"});
   ServeProblemSpec spec;
   spec.m = static_cast<Index>(args.get_int("m", 96));
   spec.k = static_cast<Index>(args.get_int("k", 480));
@@ -1434,6 +1277,242 @@ int cmd_serve_worker(const Args& args) {
   return net::run_serve_worker(opts);
 }
 
+// ---------------------------------------------------------------------------
+// Command table: one entry per subcommand with every flag it reads. main()
+// declares the table's flags and rejects any other flag before the command
+// runs; `help <cmd>` and `<cmd> --help` print the same table.
+
+struct Flag {
+  const char* name;
+  const char* help;  ///< value placeholder, two spaces, description
+};
+using Flags = std::vector<Flag>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// make_problem: a random synthetic product.
+const Flags kSynthFlags = {
+    {"m", "M  rows of A and C (default 48000)"},
+    {"n", "N  columns of B and C (default 192000)"},
+    {"k", "K  inner extent (default N)"},
+    {"density", "D  tile density of A and B (default 0.5)"},
+    {"tile-lo", "T  smallest tile extent (default 512)"},
+    {"tile-hi", "T  largest tile extent (default 2048)"},
+    {"seed", "S  RNG seed (default 42)"},
+};
+/// make_machine and make_plan_config: the Summit model and the inspector.
+const Flags kMachineFlags = {
+    {"nodes", "N  Summit nodes, 6 GPUs each (default 16)"},
+    {"gpus", "G  total GPUs instead of --nodes"},
+    {"gpu-mem", "BYTES  per-GPU memory"},
+    {"p", "P  grid rows (default 1)"},
+    {"prefetch", "D  A chunks resident per block (default 2)"},
+    {"assignment", "mirrored|cyclic|lpt  column assignment"},
+    {"packing", "worst-fit|first-fit|best-fit  block packing"},
+};
+/// make_net_spec: the problem every launch rank builds.
+const Flags kNetSpecFlags = {
+    {"np", "N  rank processes, one per grid node (default 4)"},
+    {"p", "P  grid rows; q = np / p (default 2)"},
+    {"m", "M  rows of A and C"},
+    {"k", "K  inner extent"},
+    {"n", "N  columns of B and C"},
+    {"density", "D  tile density of A and B"},
+    {"tile-lo", "T  smallest tile extent"},
+    {"tile-hi", "T  largest tile extent"},
+    {"seed", "S  RNG seed"},
+    {"gpus-per-node", "G  device queues per rank (default 1)"},
+    {"gpu-mem", "BYTES  per-device memory budget (default 6e5)"},
+};
+/// spec_from_args: a serving-layer problem spec.
+const Flags kServeSpecFlags = {
+    {"m", "M  rows of A and C (default 96)"},
+    {"k", "K  inner extent (default 480)"},
+    {"n", "N  columns of B and C (default K)"},
+    {"density", "D  tile density (default 0.4)"},
+    {"tile-lo", "T  smallest tile extent (default 8)"},
+    {"tile-hi", "T  largest tile extent (default 24)"},
+    {"seed", "S  RNG seed (default 42)"},
+    {"gpus", "G  devices (default 1)"},
+    {"gpu-mem", "BYTES  per-device memory (default 1e6)"},
+    {"p", "P  grid rows (default 1)"},
+};
+/// The service knobs of serve-batch, program-run and serve-worker.
+const Flags kServiceFlags = {
+    {"workers", "N  service worker threads (default 2)"},
+    {"queue", "N  admission-control queue capacity (default 16)"},
+    {"cache", "N  LRU plan-cache capacity (default 32)"},
+};
+
+struct CommandInfo {
+  const char* name;
+  const char* summary;
+  const char* usage;  ///< the usage line
+  int (*run)(const Args&);
+  Flags flags;
+  const char* notes = "";  ///< printed after the flags
+};
+
+const CommandInfo kCommands[] = {
+    {"simulate", "synthetic product on a simulated machine",
+     "usage: bstc_cli simulate [options]", cmd_simulate,
+     kSynthFlags + kMachineFlags +
+         Flags{{"baselines", "true  also run DBCSR-style + CPU models"}}},
+    {"abcd", "the C65H132-style chemistry workload",
+     "usage: bstc_cli abcd [options]", cmd_abcd,
+     Flags{{"carbons", "N  alkane chain length (default 65)"},
+           {"tiling", "v1|v2|v3  the paper's three tilings"}} +
+         kMachineFlags},
+    {"xyz", "a molecule loaded from an .xyz file",
+     "usage: bstc_cli xyz <file.xyz> [options]", cmd_xyz,
+     Flags{{"basis", "sto-3g|def2-svp|def2-tzvp"},
+           {"ao-clusters", "N  AO clusters"},
+           {"occ-clusters", "N  occupied-orbital clusters"}} +
+         kMachineFlags},
+    {"plan", "build a plan and print structure/statistics",
+     "usage: bstc_cli plan [options]", cmd_plan,
+     kSynthFlags + kMachineFlags +
+         Flags{{"explain", "true  per-node narrative of the plan"},
+               {"save", "FILE  serialize the plan to FILE"}}},
+    {"execute", "run the real engine and verify the product",
+     "usage: bstc_cli execute [options]", cmd_execute,
+     kSynthFlags + kMachineFlags +
+         Flags{{"verify", "true|false  compare against the reference product"},
+               {"trace-out",
+                "F.json  write a unified obs trace (tasks + plan spans)"}}},
+    {"launch", "run the distributed executor as real OS processes",
+     "usage: bstc_cli launch [options]", cmd_launch,
+     kNetSpecFlags +
+         Flags{
+             {"host", "H  rendezvous host (default 127.0.0.1)"},
+             {"port", "P  rendezvous port (default: ephemeral)"},
+             {"spawn", "N  fork only N workers; the remaining np - N\n"
+                       "join by hand via `bstc_cli worker` (default np)"},
+             {"trace-out", "F.json  gather every rank's spans and write one\n"
+                           "merged Chrome/Perfetto trace (per-rank lanes)"},
+             {"node-map", "LIST  node id of each worker, e.g. 0,1,0,1"},
+             {"ranks-per-node",
+              "N  shorthand: workers 0..N-1 on node 0, ..."},
+             {"node-aware", "  pack grid rows onto the fewest nodes (moves\n"
+                            "the A broadcast off the interconnect)"},
+             {"bcast", "ALG  unicast | tree | ring | auto (default: the\n"
+                       "BSTC_BCAST env var, else auto)"},
+             {"shm-bcast", "  serve co-located ranks via shared-memory\n"
+                           "staging rings instead of loopback sockets"},
+             {"metrics-out", "F  write per-rank bstc_wire_* and bstc_bcast_*\n"
+                             "Prometheus lines"}},
+     "  Forks --np workers of this binary, runs the 2D-grid contraction\n"
+     "  over TCP, verifies C bitwise against a single-process run, and\n"
+     "  checks measured wire bytes against the plan statistics exactly\n"
+     "  (totals and the intra-/inter-node split).\n"},
+    {"worker", "join a launch rendezvous (spawned by `launch`)",
+     "usage: bstc_cli worker --host H --port P [problem flags]", cmd_worker,
+     kNetSpecFlags +
+         Flags{{"host", "H  the launcher's rendezvous host"},
+               {"port", "P  the launcher's rendezvous port"},
+               {"node-id", "N  which physical node this rank runs on"},
+               {"trace-out", "F.json  must match the launcher's --trace-out\n"
+                             "(every rank takes part in the trace gather)"}},
+     "  Normally started by `bstc_cli launch`, not by hand; the problem\n"
+     "  flags must match the launcher's (fingerprints are cross-checked).\n"},
+    {"serve-batch", "drive the ContractionService with a request mix",
+     "usage: bstc_cli serve-batch [options]", cmd_serve_batch,
+     kServiceFlags +
+         Flags{
+             {"clients", "N  concurrent client threads (default 4)"},
+             {"repeat", "N  submits per scripted problem (default 4)"},
+             {"script", "FILE  request script; without it a built-in mix\n"
+                        "of two problems and one session runs"},
+             {"trace-out", "F.json  write a span trace of the whole batch"},
+             {"metrics-out", "F.txt  write Prometheus-style text metrics"},
+             {"ranks", "N  distributed mode: fork N serve-worker ranks\n"
+                       "and route the same request stream over TCP"},
+             {"inflight", "N  per-worker in-flight admission bound (def 8)"},
+             {"shm-store", "NAME  build a shared-memory B-tile store (shm\n"
+                           "name, e.g. /bstc_store) for the first workload's\n"
+                           "spec and serve every rank from it zero-copy"}},
+     "  script lines:  problem m=96 k=480 n=480 density=0.4 seed=1 \\\n"
+     "                   repeat=4 gpus=2 gpu-mem=1e6 [tile-lo=8 tile-hi=24]\n"
+     "                 session m=64 k=320 n=320 density=0.5 iters=6 ...\n"
+     "                 program name=ccsd-doubles m=6 iters=3 seed=7 ...\n"
+     "                 ('#' starts a comment)\n"},
+    {"program-run", "iterate a named contraction program (multi-term DAG)",
+     "usage: bstc_cli program-run [options]", cmd_program_run,
+     Flags{{"program", "NAME  registered program: abcd | ccsd-doubles\n"
+                       "(default ccsd-doubles)"},
+           {"iters", "N  program iterations (default 2); A-side tensors\n"
+                     "are reseeded every iteration, fixed tensors stay\n"
+                     "cached in node sessions"},
+           {"workers", "N  service worker threads per rank (default 2)"},
+           {"ranks", "N  also run distributed: fork N serve-worker ranks,\n"
+                     "iterate the same program over TCP and verify the\n"
+                     "residual bitwise against the single-process run"},
+           {"metrics-out", "F.txt  Prometheus text: the local service\n"
+                           "exposition, or per-rank sections"}} +
+         kServeSpecFlags,
+     "  ccsd-doubles reads --m as the alkane chain length, clamped to\n"
+     "  [2,65].\n"},
+    {"serve-worker", "join a distributed serve-batch (spawned by it)",
+     "usage: bstc_cli serve-worker --host H --port P [options]",
+     cmd_serve_worker,
+     kServiceFlags +
+         Flags{{"host", "H  the front rank's host"},
+               {"port", "P  the front rank's port"},
+               {"shm-ctl", "NAME  attach this shm store control segment\n"
+                           "and serve matching requests zero-copy"}},
+     "  Normally started by `bstc_cli serve-batch --ranks N`, not by\n"
+     "  hand. Dials the front rank and serves spec-based requests until\n"
+     "  drained.\n"},
+    {"store-build", "materialize a spec's B tiles into a shm store",
+     "usage: bstc_cli store-build [options]", cmd_store_build,
+     Flags{{"name", "NAME  shm base name (default /bstc_store); the\n"
+                    "segment is NAME.g<generation>"},
+           {"generation", "N  generation id to seal into the store (def 1)"},
+           {"publish", "true  create NAME.ctl and publish the generation\n"
+                       "(default true; the control name must be free)"}} +
+         kServeSpecFlags,
+     "  The spec flags must match the serve workload exactly: workers\n"
+     "  attach by store fingerprint, a mismatch falls back to private\n"
+     "  generator caches.\n"},
+    {"store-inspect", "attach a tile store read-only and print its layout",
+     "usage: bstc_cli store-inspect --name NAME.g1 [options]",
+     cmd_store_inspect,
+     Flags{{"name", "NAME  the store segment name (required)"},
+           {"tiles", "true  also list every tile's grid slot and extents"}}},
+};
+
+const CommandInfo* find_command(const std::string& name) {
+  for (const CommandInfo& info : kCommands) {
+    if (name == info.name) return &info;
+  }
+  return nullptr;
+}
+
+void usage() {
+  std::printf("usage: bstc_cli <command> [options]\n\ncommands:\n");
+  for (const CommandInfo& info : kCommands) {
+    std::printf("  %-13s %s\n", info.name, info.summary);
+  }
+  std::printf(
+      "\nrun `bstc_cli help <command>` or `bstc_cli <command> --help`\n");
+}
+
+void print_help(const CommandInfo& info) {
+  std::printf("%s — %s\n%s\n", info.name, info.summary, info.usage);
+  for (const Flag& flag : info.flags) {
+    std::string help = flag.help;
+    for (std::size_t at = help.find('\n'); at != std::string::npos;
+         at = help.find('\n', at + 1)) {
+      help.insert(at + 1, 24, ' ');
+    }
+    std::printf("  --%-19s %s\n", flag.name, help.c_str());
+  }
+  std::printf("%s", info.notes);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1451,8 +1530,7 @@ int main(int argc, char** argv) {
           usage();
           return 2;
         }
-        std::printf("%s — %s\n%s%s", info->name, info->summary, info->usage,
-                    kCommonFlags);
+        print_help(*info);
         return 0;
       }
       usage();
@@ -1464,39 +1542,16 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (args.get_bool("help", false)) {
-      std::printf("%s — %s\n%s%s", info->name, info->summary, info->usage,
-                  kCommonFlags);
+      print_help(*info);
       return 0;
     }
-    int rc = 2;
-    if (cmd == "simulate") {
-      rc = cmd_simulate(args);
-    } else if (cmd == "abcd") {
-      rc = cmd_abcd(args);
-    } else if (cmd == "xyz") {
-      rc = cmd_xyz(args);
-    } else if (cmd == "plan") {
-      rc = cmd_plan(args);
-    } else if (cmd == "execute") {
-      rc = cmd_execute(args);
-    } else if (cmd == "serve-worker") {
-      rc = cmd_serve_worker(args);
-    } else if (cmd == "serve-batch") {
-      rc = cmd_serve_batch(args);
-    } else if (cmd == "program-run") {
-      rc = cmd_program_run(args);
-    } else if (cmd == "store-build") {
-      rc = cmd_store_build(args);
-    } else if (cmd == "store-inspect") {
-      rc = cmd_store_inspect(args);
-    } else if (cmd == "launch") {
-      rc = cmd_launch(args);
-    } else if (cmd == "worker") {
-      rc = cmd_worker(args);
-    }
-    // A typo'd flag is an error with a suggestion, not a silent default.
+    // A typo'd flag is an error with a suggestion, not a silent default,
+    // and it fails before the command runs. Once the table's flags are
+    // declared, reading any other flag is an error too.
+    for (const Flag& flag : info->flags) args.has(flag.name);
     args.reject_unknown();
-    return rc;
+    args.seal();
+    return info->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
