@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "plan/builder.hpp"
 #include "support/error.hpp"
 
 namespace bstc {
@@ -30,19 +32,31 @@ TilingSearchResult optimize_tiling(const OrbitalSystem& system,
       cfg.occ_clusters =
           std::max<std::size_t>(2, ao_clusters / search.occ_divisor);
       const AbcdProblem problem = build_abcd(system, cfg);
-      const SimResult sim = simulate_contraction(
-          problem.t, problem.v, problem.r, machine, search.plan, search.sim);
+      const ExecutionPlan plan =
+          build_plan(problem.t, problem.v, problem.r, machine, search.plan);
       TilingCandidate candidate;
       candidate.ao_clusters = ao_clusters;
       candidate.occ_clusters = cfg.occ_clusters;
-      candidate.flops = sim.total_flops;
-      candidate.makespan_s = sim.makespan_s;
-      candidate.per_gpu_performance = sim.per_gpu_performance;
+      if (leaves_room_for_a_chunk(plan, machine.node.gpu.memory_bytes)) {
+        const SimResult sim = simulate(plan, problem.t, problem.v, problem.r,
+                                       machine, search.sim);
+        candidate.flops = sim.total_flops;
+        candidate.makespan_s = sim.makespan_s;
+        candidate.per_gpu_performance = sim.per_gpu_performance;
+      } else {
+        // Too coarse for this GPU memory: the executor cannot lower it.
+        candidate.makespan_s = std::numeric_limits<double>::infinity();
+      }
       result.candidates.push_back(candidate);
     }
     x *= search.step;
   }
   BSTC_CHECK(!result.candidates.empty());
+  BSTC_REQUIRE(std::any_of(result.candidates.begin(), result.candidates.end(),
+                           [](const TilingCandidate& candidate) {
+                             return std::isfinite(candidate.makespan_s);
+                           }),
+               "no tiling leaves device memory for an A chunk");
 
   result.best = 0;
   for (std::size_t i = 1; i < result.candidates.size(); ++i) {

@@ -26,6 +26,9 @@ struct TilingCandidate {
   std::size_t ao_clusters = 0;
   std::size_t occ_clusters = 0;
   double flops = 0.0;
+  /// Infinite when the tiling is too coarse for the executor to lower
+  /// (a block leaves no device memory for an A chunk); flops and
+  /// performance are then 0.
   double makespan_s = 0.0;
   double per_gpu_performance = 0.0;
 };
@@ -51,7 +54,8 @@ struct TilingSearchConfig {
 };
 
 /// Optimize the tiling of an ABCD workload for `machine`. The physical
-/// cutoffs of `base` are kept; only the cluster counts vary.
+/// cutoffs of `base` are kept; only the cluster counts vary. Throws when
+/// no candidate tiling can be lowered.
 TilingSearchResult optimize_tiling(const OrbitalSystem& system,
                                    const AbcdConfig& base,
                                    const MachineModel& machine,

@@ -518,7 +518,8 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
       for (const Chunk& chunk : block.chunks) {
         max_chunk_bytes = std::max(max_chunk_bytes, chunk.a_bytes);
       }
-      BSTC_REQUIRE(spare >= max_chunk_bytes,
+      BSTC_REQUIRE(leaves_room_for_a_chunk(block,
+                                           machine.node.gpu.memory_bytes),
                    "block footprint leaves no room for any A chunk; the "
                    "tiling is too coarse for this GPU memory");
       const int prefetch_depth =

@@ -156,6 +156,73 @@ std::vector<BlockPlan> partition_blocks(std::vector<ColumnPiece> pieces,
   return blocks;
 }
 
+double block_flops(const Shape& a, const Shape& c,
+                   std::span<const std::uint32_t> slice,
+                   const BlockPlan& block) {
+  double flops = 0.0;
+  std::vector<std::uint64_t> kbits(a.words_per_row());
+  for (const ColumnPiece& piece : block.pieces) {
+    std::fill(kbits.begin(), kbits.end(), 0);
+    for (const std::uint32_t k : piece.ks) {
+      kbits[k / 64] |= std::uint64_t{1} << (k % 64);
+    }
+    const auto n_ext =
+        static_cast<double>(c.col_tiling().tile_extent(piece.col));
+    for (const std::uint32_t i : slice) {
+      if (!c.nonzero(i, piece.col)) continue;
+      const std::uint64_t* a_row = a.row_bits(i);
+      double k_ext = 0.0;
+      for (std::size_t w = 0; w < kbits.size(); ++w) {
+        std::uint64_t bits = kbits[w] & a_row[w];
+        while (bits) {
+          k_ext += static_cast<double>(a.col_tiling().tile_extent(
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+          bits &= bits - 1;
+        }
+      }
+      flops += 2.0 * static_cast<double>(a.row_tiling().tile_extent(i)) *
+               n_ext * k_ext;
+    }
+  }
+  return flops;
+}
+
+void deal_blocks(std::vector<BlockPlan>& blocks, std::span<const double> flops,
+                 int gpus) {
+  BSTC_REQUIRE(gpus > 0, "need at least one GPU");
+  BSTC_REQUIRE(flops.size() == blocks.size(), "one flop count per block");
+  std::vector<std::size_t> order(blocks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return flops[x] > flops[y];
+                   });
+  const auto period = 2 * static_cast<std::size_t>(gpus);
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const std::size_t phase = pos % period;
+    blocks[order[pos]].gpu = static_cast<std::uint32_t>(
+        phase < period / 2 ? phase : period - 1 - phase);
+  }
+}
+
+bool leaves_room_for_a_chunk(const BlockPlan& block, double gpu_memory_bytes) {
+  double largest = 0.0;
+  for (const Chunk& chunk : block.chunks) {
+    largest = std::max(largest, chunk.a_bytes);
+  }
+  return gpu_memory_bytes - block.bytes >= largest;
+}
+
+bool leaves_room_for_a_chunk(const ExecutionPlan& plan,
+                             double gpu_memory_bytes) {
+  for (const NodePlan& node : plan.nodes) {
+    for (const BlockPlan& block : node.blocks) {
+      if (!leaves_room_for_a_chunk(block, gpu_memory_bytes)) return false;
+    }
+  }
+  return true;
+}
+
 std::vector<Chunk> segment_chunks(const Shape& a, const Shape& c,
                                   std::span<const std::uint32_t> slice,
                                   const BlockPlan& block,
@@ -347,13 +414,16 @@ ExecutionPlan build_plan(const Shape& a, const Shape& b, const Shape& c,
       // remain listed in node.columns for ownership bookkeeping).
       std::erase_if(pieces,
                     [](const ColumnPiece& piece) { return piece.ks.empty(); });
-      node.blocks = partition_blocks(
-          std::move(pieces), block_capacity,
-          plan.gpus_of_node[static_cast<std::size_t>(plan.grid.node_id(r, col))],
-          cfg.packing);
+      const int gpus =
+          plan.gpus_of_node[static_cast<std::size_t>(plan.grid.node_id(r, col))];
+      node.blocks = partition_blocks(std::move(pieces), block_capacity, gpus,
+                                     cfg.packing);
+      std::vector<double> flops;
       for (BlockPlan& block : node.blocks) {
         block.chunks = segment_chunks(a, c, slice, block, chunk_capacity);
+        flops.push_back(block_flops(a, c, slice, block));
       }
+      deal_blocks(node.blocks, flops, gpus);
     }
   }
   return plan;

@@ -43,6 +43,31 @@ std::vector<BlockPlan> partition_blocks(
     std::vector<ColumnPiece> pieces, double capacity, int gpus,
     PackingPolicy policy = PackingPolicy::kWorstFit);
 
+/// GEMM flops of `block` against the A `slice`: every nonzero A tile
+/// (i, k) meeting a piece's B tile (k, j) where C tile (i, j) is nonzero.
+double block_flops(const Shape& a, const Shape& c,
+                   std::span<const std::uint32_t> slice,
+                   const BlockPlan& block);
+
+/// Phase 2b — deal `blocks` to `gpus` GPUs by their `flops`: heaviest
+/// first, in mirrored-cyclic order (the §3.2.1 column rule applied to
+/// blocks). No GPU gets more than one block more than any other, as with
+/// the partition's round-robin, but the heaviest blocks are spread
+/// instead of stacking on the GPUs that happened to open them. Each GPU
+/// keeps its blocks in their order in `blocks`.
+void deal_blocks(std::vector<BlockPlan>& blocks, std::span<const double> flops,
+                 int gpus);
+
+/// Whether `block` leaves a GPU of `gpu_memory_bytes` room for its largest
+/// A chunk. The executor cannot run a block that does not: lower_plan
+/// refuses such a plan, and the searches that simulate candidate plans
+/// (autotune_grid, optimize_tiling) mark them infeasible.
+bool leaves_room_for_a_chunk(const BlockPlan& block, double gpu_memory_bytes);
+
+/// leaves_room_for_a_chunk for every block of `plan`.
+bool leaves_room_for_a_chunk(const ExecutionPlan& plan,
+                             double gpu_memory_bytes);
+
 /// Phase 3 — segment the A tiles needed by `block` into chunks of at most
 /// `chunk_capacity` bytes (paper §3.2.3): tiles are added one-per-tile-row
 /// of the A slice in cyclic fashion until the budget is exhausted; the

@@ -1,7 +1,9 @@
 #include "sim/autotune.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "plan/builder.hpp"
 #include "support/error.hpp"
@@ -22,12 +24,12 @@ GridSearchResult autotune_grid(const Shape& a, const Shape& b, const Shape& c,
     GridCandidate candidate;
     candidate.p = p;
     candidate.q = plan.grid.q;
-    try {
+    if (leaves_room_for_a_chunk(plan, machine.node.gpu.memory_bytes)) {
       const SimResult sim = simulate(plan, a, b, c, machine, sim_cfg);
       candidate.makespan_s = sim.makespan_s;
       candidate.a_network_bytes = sim.plan_stats.a_network_bytes;
       candidate.b_generated_bytes = sim.plan_stats.b_generated_bytes;
-    } catch (const Error&) {
+    } else {
       // The executor cannot lower this grid's plan.
       candidate.makespan_s = std::numeric_limits<double>::infinity();
     }
@@ -45,25 +47,13 @@ GridSearchResult autotune_grid(const Shape& a, const Shape& b, const Shape& c,
                "no grid shape leaves device memory for an A chunk");
 
   // Best feasible; fall back to the fastest (lowered) grid if nothing fits.
-  result.best = 0;
-  bool have_feasible = false;
-  for (std::size_t i = 0; i < result.candidates.size(); ++i) {
-    const GridCandidate& cand = result.candidates[i];
-    if (cand.feasible &&
-        (!have_feasible ||
-         cand.makespan_s < result.candidates[result.best].makespan_s)) {
-      result.best = i;
-      have_feasible = true;
-    }
-  }
-  if (!have_feasible) {
-    for (std::size_t i = 1; i < result.candidates.size(); ++i) {
-      if (result.candidates[i].makespan_s <
-          result.candidates[result.best].makespan_s) {
-        result.best = i;
-      }
-    }
-  }
+  result.best = static_cast<std::size_t>(
+      std::min_element(result.candidates.begin(), result.candidates.end(),
+                       [](const GridCandidate& x, const GridCandidate& y) {
+                         return std::pair(!x.feasible, x.makespan_s) <
+                                std::pair(!y.feasible, y.makespan_s);
+                       }) -
+      result.candidates.begin());
   return result;
 }
 

@@ -40,10 +40,11 @@ struct GridSearchResult {
 
 /// Evaluate every p in [1, machine.nodes] dividing the node count (so
 /// q = nodes / p exactly), marking infeasible the grids whose plan the
-/// executor cannot lower or whose replicated B exceeds the per-node host
-/// memory, and pick the fastest feasible grid. Throws bstc::Error when no
-/// grid can be lowered. `base`
-/// supplies the non-grid knobs (budgets, policies).
+/// executor cannot lower (leaves_room_for_a_chunk) or whose replicated B
+/// exceeds the per-node host memory, and pick the fastest feasible grid.
+/// Throws bstc::Error when no grid can be lowered; any other error of a
+/// candidate's plan or simulation propagates. `base` supplies the
+/// non-grid knobs (budgets, policies).
 GridSearchResult autotune_grid(const Shape& a, const Shape& b, const Shape& c,
                                const MachineModel& machine,
                                const PlanConfig& base = {},

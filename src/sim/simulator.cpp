@@ -10,6 +10,7 @@
 
 #include "core/engine.hpp"
 #include "plan/builder.hpp"
+#include "support/error.hpp"
 
 namespace bstc {
 namespace {
@@ -25,6 +26,9 @@ constexpr std::uint32_t kFree = ~0u;  ///< no resource: the task is free
 SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
                    const Shape& c, const MachineModel& machine,
                    const SimConfig& cfg) {
+  BSTC_REQUIRE(cfg.generation_rate > 0.0 && cfg.network_efficiency > 0.0 &&
+                   cfg.sustained_kernel_fraction > 0.0,
+               "simulator rates must be positive");
   EngineConfig lower_cfg;
   lower_cfg.plan = plan.config;
   const auto lowered = lower_plan(plan, a, b, c, machine, lower_cfg);
@@ -53,6 +57,7 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
            static_cast<double>(a.col_tiling().tile_extent(k));
   };
   std::vector<double> start(graph.size(), t0), end(graph.size(), t0);
+  std::size_t started = 0;  // tasks begun, plus the asends priced below
 
   // A broadcast: remote A tiles stream into each consumer node through its
   // link, in the order the asends were created (first need), so a tile
@@ -63,6 +68,7 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
   for (TaskId t = 0; t < graph.size(); ++t) {
     const TaskNode& task = graph.task(t);
     if (static_cast<TaskKind>(task.kind) != TaskKind::kASend) continue;
+    ++started;
     const LoweredPlan::ASend& send = low.a_sends[task.index];
     for (const int n : send.consumers) {
       received[n] += a_tile_bytes(send.i, send.k) / link_rate;
@@ -179,6 +185,7 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
       case TaskKind::kASend:
       case TaskKind::kChunkUnload: break;
     }
+    ++started;
     start[t] = now;
     end[t] = now + cost;
     events.emplace(end[t], seq++, t, false);
@@ -228,8 +235,7 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
     }
   }
   while (!events.empty()) {
-    const auto [now, order, t, arrived] = events.top();
-    (void)order;
+    [[maybe_unused]] const auto [now, order, t, arrived] = events.top();
     events.pop();
     if (arrived) {
       enqueue(t, now);
@@ -242,6 +248,9 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
     }
     if (r != kFree) dispatch(r, now);
   }
+  // Every task ran: none waits on a predecessor that never ends (an edge
+  // out of an asend, say), which would understate the makespan.
+  BSTC_CHECK(started == graph.size());
 
   // The node is done when its GPUs are done and the last remote C tile
   // has left through its egress link ("as soon as a computation on C is
@@ -264,9 +273,7 @@ SimResult simulate(const ExecutionPlan& plan, const Shape& a, const Shape& b,
   if (result.makespan_s > 0.0) {
     result.performance = result.total_flops / result.makespan_s;
     result.per_gpu_performance =
-        result.gpus.empty()
-            ? 0.0
-            : result.performance / static_cast<double>(result.gpus.size());
+        result.performance / static_cast<double>(result.gpus.size());
   }
 
   if (cfg.trace != nullptr) {

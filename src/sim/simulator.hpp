@@ -21,8 +21,9 @@
 ///    only once its remote tiles have arrived (§5.1 stall);
 ///  * chunkunload: free.
 /// Remote C leaves through the node's link after its block's store. A plan
-/// the executor refuses is refused with the same error. See DESIGN.md §2,
-/// §11.
+/// the executor refuses (see leaves_room_for_a_chunk, plan/builder.hpp) is
+/// refused with the same error, and so are non-positive rates in the
+/// SimConfig. See DESIGN.md §2, §11.
 
 #include <vector>
 

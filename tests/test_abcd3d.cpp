@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "chem/abcd3d.hpp"
 #include "chem/molecule.hpp"
 #include "chem/orbitals.hpp"
@@ -154,6 +156,30 @@ TEST(TilingOptimizer, FindsACandidateAndOrdersConsistently) {
     EXPECT_GE(result.candidates[i - 1].flops * 1.5,
               result.candidates[i].flops * 0.5);
   }
+}
+
+TEST(TilingOptimizer, TilingsThatCannotBeLoweredAreInfeasible) {
+  // On 300 MB GPUs the three coarsest tilings leave a block no room for
+  // an A chunk; the search marks them infinite and picks the one that
+  // lowers. On 100 MB GPUs none lowers.
+  const OrbitalSystem sys = OrbitalSystem::build(Molecule::alkane(30));
+  MachineModel machine = MachineModel::summit_gpus(6);
+  machine.node.gpu.memory_bytes = 3.0e8;
+  TilingSearchConfig search;
+  search.min_ao_clusters = 6;
+  search.max_ao_clusters = 30;
+  search.step = 1.6;
+  const TilingSearchResult result =
+      optimize_tiling(sys, AbcdConfig{}, machine, search);
+  ASSERT_EQ(result.candidates.size(), 4u);
+  for (std::size_t i = 0; i + 1 < result.candidates.size(); ++i) {
+    EXPECT_TRUE(std::isinf(result.candidates[i].makespan_s)) << i;
+  }
+  EXPECT_TRUE(std::isfinite(result.candidates.back().makespan_s));
+  EXPECT_EQ(result.best, result.candidates.size() - 1);
+
+  machine.node.gpu.memory_bytes = 1.0e8;
+  EXPECT_THROW(optimize_tiling(sys, AbcdConfig{}, machine, search), Error);
 }
 
 TEST(TilingOptimizer, InvalidSearchThrows) {

@@ -177,6 +177,20 @@ TEST(Autotune, GridsThatCannotBeLoweredAreInfeasible) {
   // No grid lowers: nothing to choose from.
   machine.node.gpu.memory_bytes = 20.0e6;
   EXPECT_THROW(autotune_grid(a, b, c, machine), Error);
+
+  // Any other error of a candidate's simulation propagates with its own
+  // message instead of marking the grid infeasible.
+  machine.node.gpu.memory_bytes = 78.0e6;
+  SimConfig broken;
+  broken.network_efficiency = 0.0;
+  try {
+    autotune_grid(a, b, c, machine, PlanConfig{}, broken);
+    ADD_FAILURE() << "a simulator error was swallowed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rates must be positive"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <unordered_set>
 
@@ -193,6 +194,57 @@ TEST(BlockPartition, OversizedPieceGetsOwnFlaggedBlock) {
     }
   }
   EXPECT_TRUE(found_oversized);
+}
+
+TEST(BlockDeal, HeaviestFirstInMirroredCyclicOrder) {
+  // Flops 1, 9, 5, 3, 7 over 2 GPUs: by weight 9, 7, 5, 3, 1 go to GPUs
+  // 0, 1, 1, 0, 0.
+  std::vector<BlockPlan> blocks(5);
+  const std::vector<double> flops = {1.0, 9.0, 5.0, 3.0, 7.0};
+  deal_blocks(blocks, flops, 2);
+  const std::vector<std::uint32_t> expected = {0, 0, 1, 0, 1};
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(blocks[b].gpu, expected[b]) << b;
+  }
+  EXPECT_THROW(deal_blocks(blocks, flops, 0), Error);
+}
+
+TEST_F(PlanFixture, BuildPlanSpreadsTheHeaviestBlocks) {
+  // Small GPUs: several blocks per GPU. Each node's `gpus` heaviest
+  // blocks sit on distinct GPUs, block counts per GPU differ by at most
+  // one, and the block flops add up to the contraction's.
+  MachineModel machine = MachineModel::summit(2);
+  machine.node.gpu.memory_bytes = 1.5e6;
+  PlanConfig cfg;
+  const ExecutionPlan plan = build_plan(*a_, *b_, *c_, machine, cfg);
+  double total = 0.0;
+  for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
+    const NodePlan& node = plan.nodes[n];
+    const int gpus = plan.gpus_of_node[n];
+    ASSERT_GT(node.blocks.size(), static_cast<std::size_t>(gpus));
+    const std::vector<std::uint32_t> slice =
+        slice_rows(a_->tile_rows(), plan.grid.p, node.grid_row);
+    std::vector<std::pair<double, std::uint32_t>> by_flops;
+    std::vector<int> count(static_cast<std::size_t>(gpus), 0);
+    for (const BlockPlan& block : node.blocks) {
+      by_flops.emplace_back(block_flops(*a_, *c_, slice, block), block.gpu);
+      total += by_flops.back().first;
+      ++count[block.gpu];
+    }
+    std::stable_sort(by_flops.begin(), by_flops.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first > y.first;
+                     });
+    std::unordered_set<std::uint32_t> heaviest_gpus;
+    for (int g = 0; g < gpus; ++g) {
+      heaviest_gpus.insert(by_flops[static_cast<std::size_t>(g)].second);
+    }
+    EXPECT_EQ(heaviest_gpus.size(), static_cast<std::size_t>(gpus));
+    const auto [lo, hi] = std::minmax_element(count.begin(), count.end());
+    EXPECT_LE(*hi - *lo, 1);
+  }
+  const ContractionStats expected = contraction_stats(*a_, *b_, *c_);
+  EXPECT_NEAR(total, expected.flops, 1e-9 * expected.flops);
 }
 
 TEST_F(PlanFixture, FullPlanValidatesOnSingleNode) {
