@@ -1,8 +1,9 @@
 /// Loopback latency / bandwidth sweep of the wire protocol + NetTransport.
 ///
 /// Two transports over an OS socket pair exchange tiles of 32..512 square
-/// extents — the full serialize -> frame -> socket -> deframe -> deliver
-/// path the distributed executor runs, minus the network card. Reports
+/// extents through send_multi with one consumer — the full serialize ->
+/// kBcast frame -> socket -> deframe -> deliver path the distributed
+/// executor runs for a two-rank grid row, minus the network card. Reports
 /// per-tile one-way latency and sustained payload bandwidth, plus a
 /// control-frame ping-pong RTT, and writes BENCH_net.json for the CI
 /// perf-smoke artifact trail.
@@ -74,7 +75,7 @@ SweepPoint sweep_one(Index extent) {
   });
   Timer timer;
   for (int i = 0; i < point.reps; ++i) {
-    pair.t0->send(0, 1, static_cast<std::uint64_t>(i), tile);
+    pair.t0->send_multi(0, {1}, static_cast<std::uint64_t>(i), tile);
   }
   consumer.join();
   point.seconds = timer.elapsed_s();
@@ -90,7 +91,7 @@ struct LoopbackMesh {
   std::vector<std::unique_ptr<WireCounters>> counters;
   std::vector<std::unique_ptr<NetTransport>> t;
 
-  LoopbackMesh(int n, const BcastConfig& bcast) {
+  explicit LoopbackMesh(int n) {
     std::vector<std::vector<PeerLink>> links(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
@@ -108,7 +109,7 @@ struct LoopbackMesh {
       counters.push_back(std::make_unique<WireCounters>());
       t.push_back(std::make_unique<NetTransport>(
           n, r, std::move(links[static_cast<std::size_t>(r)]),
-          counters.back().get(), bcast));
+          counters.back().get()));
     }
   }
 };
@@ -117,16 +118,18 @@ struct BcastPoint {
   int row = 0;          ///< broadcast participants (grid-row width)
   Index tile = 0;
   std::size_t tile_bytes = 0;
-  BcastSelect select = BcastSelect::kUnicast;
+  BcastAlgorithm algo = BcastAlgorithm::kTree;
   int reps = 0;
   double bcast_us = 0.0;       ///< mean time to deliver one tile to all
   std::size_t root_sends = 0;  ///< frames the root itself injects
 };
 
-BcastPoint bcast_sweep_one(int row, Index extent, BcastSelect select) {
-  BcastConfig cfg;
-  cfg.select = select;
-  LoopbackMesh mesh(row, cfg);
+/// The root builds the kBcast frame with `algo` itself and posts it to
+/// its fanout children, bypassing send_multi's resolve_bcast so both
+/// algorithms can be timed at every extent; receivers relay by the
+/// frame's algorithm byte as they do in a run.
+BcastPoint bcast_sweep_one(int row, Index extent, BcastAlgorithm algo) {
+  LoopbackMesh mesh(row);
 
   Rng rng(static_cast<std::uint64_t>(extent) * 31 + row);
   Tile tile(extent, extent);
@@ -136,7 +139,7 @@ BcastPoint bcast_sweep_one(int row, Index extent, BcastSelect select) {
   point.row = row;
   point.tile = extent;
   point.tile_bytes = tile.bytes();
-  point.select = select;
+  point.algo = algo;
   // ~8 MB of delivered payload per point keeps the sweep quick while
   // still bandwidth-bound at the large extents.
   point.reps = static_cast<int>(std::max<std::size_t>(
@@ -144,14 +147,14 @@ BcastPoint bcast_sweep_one(int row, Index extent, BcastSelect select) {
                           1, tile.bytes() * static_cast<std::size_t>(
                                                 row - 1))));
 
-  std::vector<int> parts;
-  std::vector<int> consumers;
-  for (int r = 0; r < row; ++r) parts.push_back(r);
-  for (int r = 1; r < row; ++r) consumers.push_back(r);
-  point.root_sends =
-      bcast_children(resolve_bcast(select, parts.size(), tile.bytes()),
-                     parts, 0, 0, {})
-          .size();
+  BcastTileMsg msg;
+  msg.algo = algo;
+  msg.root = 0;
+  for (int r = 0; r < row; ++r) msg.parts.push_back(static_cast<std::uint32_t>(r));
+  msg.tile = Tile::view(tile.data(), tile.rows(), tile.cols());
+  std::vector<int> parts(msg.parts.begin(), msg.parts.end());
+  const std::vector<int> children = bcast_children(algo, parts, 0, 0, {});
+  point.root_sends = children.size();
 
   std::vector<std::thread> waiters;
   for (int r = 1; r < row; ++r) {
@@ -164,8 +167,11 @@ BcastPoint bcast_sweep_one(int row, Index extent, BcastSelect select) {
   }
   Timer timer;
   for (int i = 0; i < point.reps; ++i) {
-    mesh.t[0]->send_multi(0, consumers, static_cast<std::uint64_t>(i),
-                          tile);
+    msg.key = static_cast<std::uint64_t>(i);
+    const Frame frame = encode_bcast(msg);
+    for (const int child : children) {
+      mesh.t[0]->post(child, Frame{frame.type, frame.payload});
+    }
   }
   for (auto& w : waiters) w.join();
   point.bcast_us = timer.elapsed_s() / point.reps * 1e6;
@@ -210,24 +216,23 @@ int main() {
   bench::print_table("loopback tile transfer sweep (socketpair)", table);
 
   // Broadcast algorithm sweep: one grid row of 2..8 ranks, tile extents
-  // straddling the auto tree->ring threshold. The delivered volume is
-  // identical for every algorithm (each consumer receives the tile
-  // exactly once); what moves is where the injection happens — the
-  // unicast root sends row-1 copies, the tree log2(row), the ring one.
+  // straddling resolve_bcast's tree->ring threshold. The delivered volume
+  // is identical for both algorithms (each consumer receives the tile
+  // exactly once); what moves is where the injection happens — the tree
+  // root sends log2(row) copies, the ring root one.
   std::vector<BcastPoint> bpoints;
   TextTable btable(
       {"row", "tile", "payload", "algo", "root sends", "bcast"});
   for (const int row : {2, 4, 8}) {
     for (const Index extent : {64, 128, 256}) {
-      for (const BcastSelect select :
-           {BcastSelect::kUnicast, BcastSelect::kTree,
-            BcastSelect::kRing}) {
-        const BcastPoint p = bcast_sweep_one(row, extent, select);
+      for (const BcastAlgorithm algo :
+           {BcastAlgorithm::kTree, BcastAlgorithm::kRing}) {
+        const BcastPoint p = bcast_sweep_one(row, extent, algo);
         bpoints.push_back(p);
         btable.add_row({std::to_string(p.row),
                         std::to_string(p.tile) + "^2",
                         fmt_bytes(static_cast<double>(p.tile_bytes)),
-                        bcast_select_name(p.select),
+                        bcast_algorithm_name(p.algo),
                         std::to_string(p.root_sends),
                         fmt_duration(p.bcast_us * 1e-6)});
       }
@@ -259,7 +264,7 @@ int main() {
                    "\"reps\": %d, \"root_sends\": %zu, "
                    "\"bcast_us\": %.3f}%s\n",
                    p.row, static_cast<long long>(p.tile), p.tile_bytes,
-                   bcast_select_name(p.select), p.reps, p.root_sends,
+                   bcast_algorithm_name(p.algo), p.reps, p.root_sends,
                    p.bcast_us, i + 1 < bpoints.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

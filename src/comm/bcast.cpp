@@ -1,7 +1,6 @@
 #include "comm/bcast.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "support/error.hpp"
@@ -64,46 +63,18 @@ void validate_parts(const std::vector<int>& parts, int root, int self) {
 
 const char* bcast_algorithm_name(BcastAlgorithm algo) {
   switch (algo) {
-    case BcastAlgorithm::kUnicast: return "unicast";
     case BcastAlgorithm::kTree: return "tree";
     case BcastAlgorithm::kRing: return "ring";
   }
   return "?";
 }
 
-const char* bcast_select_name(BcastSelect select) {
-  switch (select) {
-    case BcastSelect::kUnicast: return "unicast";
-    case BcastSelect::kTree: return "tree";
-    case BcastSelect::kRing: return "ring";
-    case BcastSelect::kAuto: return "auto";
-  }
-  return "?";
-}
-
-BcastSelect parse_bcast_select(const std::string& text) {
-  if (text == "unicast") return BcastSelect::kUnicast;
-  if (text == "tree") return BcastSelect::kTree;
-  if (text == "ring") return BcastSelect::kRing;
-  if (text == "auto") return BcastSelect::kAuto;
-  throw Error("unknown broadcast algorithm '" + text +
-              "' (expected unicast, tree, ring, or auto)");
-}
-
-BcastAlgorithm resolve_bcast(BcastSelect select, std::size_t participants,
-                             std::size_t tile_bytes) {
-  switch (select) {
-    case BcastSelect::kUnicast: return BcastAlgorithm::kUnicast;
-    case BcastSelect::kTree: return BcastAlgorithm::kTree;
-    case BcastSelect::kRing: return BcastAlgorithm::kRing;
-    case BcastSelect::kAuto: break;
-  }
-  // With two participants every algorithm is the same single hop; call it
-  // a tree so the accounting stays on the collective path. Past the ring
-  // threshold the chain's one-tile-per-rank injection wins; below it the
-  // tree's log2 depth does.
+BcastAlgorithm resolve_bcast(std::size_t participants, std::size_t tile_bytes) {
+  // With two participants both algorithms are the same single hop; call
+  // it a tree. Past the ring threshold the chain's one-tile-per-rank
+  // injection wins; below it the tree's log2 depth does.
   if (participants <= 2) return BcastAlgorithm::kTree;
-  return tile_bytes >= kBcastRingThresholdBytes ? BcastAlgorithm::kRing
+  return tile_bytes >= kRingBcastMinBytes ? BcastAlgorithm::kRing
                                                 : BcastAlgorithm::kTree;
 }
 
@@ -121,14 +92,6 @@ std::vector<int> bcast_children(BcastAlgorithm algo,
   validate_parts(parts, root, self);
   std::vector<int> children;
   if (parts.size() == 1) return children;
-
-  if (algo == BcastAlgorithm::kUnicast) {
-    if (self != root) return children;
-    for (int r : parts) {
-      if (r != root) children.push_back(r);
-    }
-    return children;
-  }
 
   const LeaderGroups g = group_by_node(parts, root, node_of_rank);
   const auto it = std::find(g.leaders.begin(), g.leaders.end(), self);

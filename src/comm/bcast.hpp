@@ -4,12 +4,13 @@
 /// RowBroadcast — the collective fanout of one A tile along its grid row.
 ///
 /// The paper broadcasts every A tile from its 2D-cyclic home to the other
-/// ranks of its grid row (§3.2.4). Sending q-1 independent unicasts makes
-/// the home rank serialize and inject the same payload q-1 times; a
-/// binomial tree spreads the forwarding over the receivers (log2 rounds),
-/// and a ring turns the broadcast into a chain whose per-rank injection is
-/// exactly one tile — the right shape once tiles are large enough to be
-/// bandwidth-bound.
+/// ranks of its grid row (§3.2.4). Sending q-1 independent copies would
+/// make the home rank inject the same payload q-1 times; a binomial tree
+/// spreads the forwarding over the receivers (log2 rounds), and a ring
+/// turns the broadcast into a chain whose per-rank injection is exactly
+/// one tile — the right shape once tiles are large enough to be
+/// bandwidth-bound. resolve_bcast picks between them per tile; there is
+/// no other selector.
 ///
 /// Node awareness: when a rank->node map is known, the fanout is computed
 /// *hierarchically* — the tree/ring runs over one leader per node (the
@@ -18,7 +19,7 @@
 /// exactly (distinct nodes - 1) per tile, independent of how many ranks
 /// share a node (Irmler et al.'s node-aware grid argument).
 ///
-/// Every function here is a pure function of (algorithm, participants,
+/// Every function here is a pure function of (participants, tile bytes,
 /// root, topology). The transport uses it to decide who forwards to whom;
 /// the plan statistics use the *same* function to predict the byte volume
 /// per hop class — which is what makes the measured-vs-analytic
@@ -29,44 +30,28 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bstc {
 
-/// How one tile's broadcast is realised on the wire.
+/// How one tile's broadcast is realised on the wire. The values are the
+/// algorithm byte of a kBcast frame (0 is retired and refused on decode).
 enum class BcastAlgorithm : std::uint8_t {
-  kUnicast = 0,  ///< root sends one copy per consumer (the baseline)
-  kTree = 1,     ///< binomial tree over node leaders, local fanout below
-  kRing = 2,     ///< leader chain root -> next -> ..., local fanout below
-};
-
-/// Policy knob: a fixed algorithm, or per-tile auto-selection by row size
-/// and tile bytes (kAuto resolves via resolve_bcast).
-enum class BcastSelect : std::uint8_t {
-  kUnicast = 0,
-  kTree = 1,
-  kRing = 2,
-  kAuto = 3,
+  kTree = 1,  ///< binomial tree over node leaders, local fanout below
+  kRing = 2,  ///< leader chain root -> next -> ..., local fanout below
 };
 
 const char* bcast_algorithm_name(BcastAlgorithm algo);
-const char* bcast_select_name(BcastSelect select);
 
-/// Parse "unicast" / "tree" / "ring" / "auto" (throws bstc::Error on
-/// anything else) — the BSTC_BCAST override and the --bcast flag.
-BcastSelect parse_bcast_select(const std::string& text);
-
-/// Payload size at which auto-selection switches from tree (latency wins)
+/// Payload size at which the broadcast switches from tree (latency wins)
 /// to ring (per-rank injection wins).
-inline constexpr std::size_t kBcastRingThresholdBytes = 256u * 1024u;
+inline constexpr std::size_t kRingBcastMinBytes = 256u * 1024u;
 
-/// Resolve a policy for one tile: kAuto picks tree for small tiles and
-/// ring for tiles >= kBcastRingThresholdBytes; fixed selections pass
-/// through. Deterministic, so every rank (and the plan statistics)
-/// resolves identically.
-BcastAlgorithm resolve_bcast(BcastSelect select, std::size_t participants,
-                             std::size_t tile_bytes);
+/// The broadcast policy: tree for tiles below kRingBcastMinBytes
+/// (and for any two-rank row, where both are one hop), ring at or above.
+/// Deterministic, so every rank (and the plan statistics) resolves
+/// identically.
+BcastAlgorithm resolve_bcast(std::size_t participants, std::size_t tile_bytes);
 
 /// Node of `rank` under the rank->node map; an empty map means the
 /// topology is unknown and every rank counts as its own node.
@@ -76,12 +61,11 @@ int bcast_node_of(const std::vector<int>& node_of_rank, int rank);
 ///
 /// `parts` is the full participant set (root + every consumer), strictly
 /// ascending. Receivers recompute their own fanout from the same inputs
-/// carried in the frame, so sender and receiver can never disagree.
-///  * kUnicast: the root sends to every other participant; nobody relays.
-///  * kTree / kRing: the algorithm runs over one leader per node (root
-///    first, then remaining leaders by ascending rank); a leader's
-///    children are its tree/ring child leaders followed by its co-located
-///    members; non-leader members are always leaves.
+/// carried in the frame, so sender and receiver can never disagree. The
+/// algorithm runs over one leader per node (root first, then remaining
+/// leaders by ascending rank); a leader's children are its tree/ring
+/// child leaders followed by its co-located members; non-leader members
+/// are always leaves.
 std::vector<int> bcast_children(BcastAlgorithm algo,
                                 const std::vector<int>& parts, int root,
                                 int self,

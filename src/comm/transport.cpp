@@ -73,16 +73,12 @@ double Transport::payload_bytes() const {
   return payload_bytes_;
 }
 
-void Transport::send(int from, int to, std::uint64_t key, Tile tile) {
-  count_bytes(from, to, tile.bytes());
-  mailbox(to).deliver(key, std::move(tile));
-}
-
 void Transport::send_multi(int from, const std::vector<int>& consumers,
                            std::uint64_t key, const Tile& tile) {
   for (const int to : consumers) {
     BSTC_REQUIRE(to != from, "broadcast consumer list contains the root");
-    send(from, to, key, Tile::view(tile.data(), tile.rows(), tile.cols()));
+    count_bytes(from, to, tile.bytes());
+    mailbox(to).deliver(key, Tile::view(tile.data(), tile.rows(), tile.cols()));
   }
 }
 

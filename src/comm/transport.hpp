@@ -11,10 +11,10 @@
 /// tiles are received", §5.1).
 ///
 /// Transport itself is the in-process implementation (mailboxes + byte
-/// accounting); `send` is virtual so net/NetTransport can carry the same
-/// deliver/wait contract across real TCP sockets between rank processes.
-/// Engines are written against this contract only — they run unmodified
-/// on either implementation.
+/// accounting); `send_multi` is virtual so net/NetTransport can carry the
+/// same deliver/wait contract across real TCP sockets between rank
+/// processes. The engine is written against this contract only — it runs
+/// unmodified on either implementation.
 
 #include <condition_variable>
 #include <cstdint>
@@ -62,8 +62,8 @@ class TileMailbox {
 };
 
 /// All mailboxes plus traffic accounting. This base class *is* the
-/// in-process transport; NetTransport overrides send() to cross process
-/// boundaries while keeping the same mailbox wait semantics.
+/// in-process transport; NetTransport overrides send_multi() to cross
+/// process boundaries while keeping the same mailbox wait semantics.
 class Transport {
  public:
   explicit Transport(int nodes);
@@ -72,11 +72,6 @@ class Transport {
   int nodes() const { return static_cast<int>(mailboxes_.size()); }
   TileMailbox& mailbox(int node);
 
-  /// Send a tile message: counts the bytes (from != to) and delivers
-  /// into the destination mailbox. NetTransport requires `from` to be the
-  /// local rank and ships remote deliveries over the wire.
-  virtual void send(int from, int to, std::uint64_t key, Tile tile);
-
   /// Broadcast one tile from `from` to every rank in `consumers` (which
   /// must not contain `from`); every consumer's mailbox receives `key`
   /// exactly once and its bytes are counted once per consumer. The
@@ -84,7 +79,7 @@ class Transport {
   /// of `tile`, so `tile` must outlive every reader of those mailbox
   /// entries (the engine broadcasts tiles of its caller's A, which
   /// outlives the call). NetTransport serializes once and routes the
-  /// collective fanout (tree/ring/shm) instead.
+  /// collective tree/ring fanout over its sockets instead.
   virtual void send_multi(int from, const std::vector<int>& consumers,
                           std::uint64_t key, const Tile& tile);
 

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "comm/bcast.hpp"
 #include "comm/transport.hpp"
 #include "obs/obs.hpp"
 #include "plan/builder.hpp"
@@ -89,14 +90,14 @@ void require_conformant(const BlockSparseMatrix& a, const Shape& b_shape,
 struct CallState final : TaskDispatch {
   CallState(const ExecutionPlan& plan_, const LoweredPlan& lowered_,
             const BlockSparseMatrix& a_, const Shape& b_shape_,
-            const Shape& c_shape_, ComputePool& pool_, bool persistent_b_)
+            const Shape& c_shape_, ComputePool& pool_, bool b_persists_)
       : plan(plan_),
         lowered(lowered_),
         a(a_),
         b_shape(b_shape_),
         c_shape(c_shape_),
         pool(pool_),
-        persistent_b(persistent_b_),
+        b_persists(b_persists_),
         num_nodes(plan_.grid.nodes()) {}
 
   void run(const TaskNode& t) override {
@@ -144,7 +145,7 @@ struct CallState final : TaskDispatch {
     // no pin. Otherwise the pin taken here is released by the block's
     // store task.
     auto acquire = [&](std::size_t x) {
-      host_b[x] = persistent_b
+      host_b[x] = b_persists
                       ? &ns.b->acquire_persistent(piece.ks[x], piece.col)
                       : &ns.b->acquire(piece.ks[x], piece.col);
     };
@@ -267,7 +268,7 @@ struct CallState final : TaskDispatch {
     res.b.clear();
     // Drop the gen tasks' pins now that no view of the tiles is left
     // (session mode took none).
-    if (!persistent_b) {
+    if (!b_persists) {
       for (const ColumnPiece& piece : block.pieces) {
         for (const std::uint32_t k : piece.ks) ns.b->release(k, piece.col);
       }
@@ -281,7 +282,7 @@ struct CallState final : TaskDispatch {
   const Shape& b_shape;
   const Shape& c_shape;
   ComputePool& pool;
-  const bool persistent_b;
+  const bool b_persists;
   const int num_nodes;
   Transport* transport = nullptr;  ///< null only on a one-rank grid
   /// Per-device memory trackers, flattened in queue order.
@@ -392,8 +393,7 @@ void task_name(const LoweredPlan& lowered, const TaskNode& task,
 }
 
 bool LoweredPlan::fits(const EngineConfig& cfg) const {
-  return local_rank == cfg.local_rank && a_bcast == cfg.a_bcast &&
-         node_of_rank == cfg.node_of_rank;
+  return local_rank == cfg.local_rank && node_of_rank == cfg.node_of_rank;
 }
 
 std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
@@ -416,7 +416,6 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
                  "local_rank out of range for the plan's grid");
   }
   low.local_rank = cfg.local_rank;
-  low.a_bcast = cfg.a_bcast;
   low.node_of_rank = cfg.node_of_rank;
 
   // Queue layout: [0, num_nodes) are CPU queues (B generation), then one
@@ -613,8 +612,8 @@ std::shared_ptr<const LoweredPlan> lower_plan(const ExecutionPlan& plan,
 
   graph.seal();
   BSTC_CHECK(graph.queues() <= low.num_queues);
-  low.stats = compute_stats(plan, a_shape, b_shape, c_shape, cfg.a_bcast,
-                            cfg.node_of_rank);
+  low.stats =
+      compute_stats(plan, a_shape, b_shape, c_shape, cfg.node_of_rank);
   obs::Registry::instance().counter_add("bstc_plan_lowerings_total");
   return lowered;
 }
@@ -644,9 +643,9 @@ EngineResult contract_lowered(const ExecutionPlan& plan,
 
   // Lanes lend their divisible work (gemmbatch column panels or item
   // ranges, a piece's missing B tiles) to the host's otherwise idle cores.
-  const bool persistent_b = cfg.b_cache != nullptr;
+  const bool b_persists = cfg.b_cache != nullptr;
   CallState call(plan, lowered, a, b_shape, c_shape,
-                 ComputePool::process(ranks_on_host(cfg)), persistent_b);
+                 ComputePool::process(ranks_on_host(cfg)), b_persists);
 
   for (int n = 0; n < num_nodes; ++n) {
     for (int g = 0; g < plan.gpus_of_node[static_cast<std::size_t>(n)]; ++g) {
@@ -662,20 +661,20 @@ EngineResult contract_lowered(const ExecutionPlan& plan,
   // mode (cfg.b_cache) the caches are caller-owned and survive this call;
   // otherwise they are fresh and die with it.
   std::vector<std::unique_ptr<TileSource>> owned_b;
-  if (persistent_b && cfg.b_cache->empty()) {
+  if (b_persists && cfg.b_cache->empty()) {
     for (int n = 0; n < num_nodes; ++n) {
       cfg.b_cache->push_back(
           std::make_unique<OnDemandMatrix>(b_shape, b_generator));
     }
   }
-  if (persistent_b) {
+  if (b_persists) {
     BSTC_REQUIRE(cfg.b_cache->size() == static_cast<std::size_t>(num_nodes),
                  "b_cache was filled for a different grid");
   }
   call.node_states = std::vector<NodeState>(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
     call.node_states[static_cast<std::size_t>(n)].b =
-        persistent_b
+        b_persists
             ? (*cfg.b_cache)[static_cast<std::size_t>(n)].get()
             : owned_b
                   .emplace_back(

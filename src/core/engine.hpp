@@ -31,7 +31,6 @@
 #include "bsm/block_sparse_matrix.hpp"
 #include "bsm/on_demand_matrix.hpp"
 #include "bsm/tile_source.hpp"
-#include "comm/bcast.hpp"
 #include "comm/transport.hpp"
 #include "machine/machine.hpp"
 #include "plan/plan.hpp"
@@ -60,13 +59,11 @@ struct EngineConfig {
   /// aggregates across ranks (see net/launch.hpp). -1 (default) executes
   /// every rank in-process.
   int local_rank = -1;
-  /// A-broadcast algorithm of the transport, and the rank -> node map the
-  /// analytic stats use to split A volume into intra- and inter-node hops. Must match the transport's configuration (the
-  /// BcastConfig a NetTransport was constructed with) so measured and
-  /// predicted splits agree; the defaults reproduce the historical flat
-  /// unicast numbers.
-  BcastSelect a_bcast = BcastSelect::kUnicast;
-  std::vector<int> node_of_rank;  ///< empty = every rank its own node
+  /// The rank -> node map the analytic stats use to split A volume into
+  /// intra- and inter-node hops (empty = every rank its own node). Must
+  /// match the map a NetTransport was constructed with, so measured and
+  /// predicted splits agree.
+  std::vector<int> node_of_rank;
   /// When non-null, the per-node B sources live here and survive across
   /// calls — the serving layer's session path: B tiles are held
   /// persistently (TileSource::acquire_persistent) instead of being
@@ -178,7 +175,6 @@ struct LoweredPlan {
 
   // The engine fields the lowering read.
   int local_rank = -1;
-  BcastSelect a_bcast = BcastSelect::kUnicast;
   std::vector<int> node_of_rank;
 
   /// Whether a call configured by `cfg` may run this lowering.

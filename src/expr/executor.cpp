@@ -210,7 +210,6 @@ ServiceStatus ProgramRunner::run(std::uint64_t a_seed, ProgramResult& result) {
           scfg.b_generator = b_pre[id];
           scfg.machine = instance_.machine;
           scfg.engine = instance_.engine;
-          scfg.persistent_b = true;
           const ServiceStatus st_open =
               service_.open_session(scfg, sessions_[id]);
           if (st_open != ServiceStatus::kOk) {

@@ -12,6 +12,7 @@ namespace bstc {
 std::vector<int> node_aware_layout(int p, int q,
                                    const std::vector<int>& node_of_rank) {
   BSTC_REQUIRE(p > 0 && q > 0, "grid must be non-empty");
+  if (node_of_rank.empty()) return {};
   const std::size_t np = static_cast<std::size_t>(p) * static_cast<std::size_t>(q);
   BSTC_REQUIRE(node_of_rank.size() == np,
                "node map must name every rank of the p*q grid");
@@ -51,7 +52,10 @@ std::vector<int> node_aware_layout(int p, int q,
     }
   }
   BSTC_CHECK(pool.empty());
-  return layout;
+  for (std::size_t slot = 0; slot < np; ++slot) {
+    if (layout[slot] != static_cast<int>(slot)) return layout;
+  }
+  return {};
 }
 
 int distinct_nodes(const std::vector<int>& ranks,

@@ -21,8 +21,6 @@ std::string prometheus_text(const WireCounterSnapshot& s) {
       {"bstc_bcast_fwd_frames_total", s.bcast_fwd_frames_sent},
       {"bstc_bcast_inter_bytes_total", s.a_payload_inter_bytes},
       {"bstc_bcast_intra_bytes_total", s.a_payload_intra_bytes},
-      {"bstc_bcast_shm_bytes_total", s.shm_payload_bytes},
-      {"bstc_bcast_shm_publishes_total", s.shm_publishes},
   };
   std::string out;
   for (const auto& [name, value] : lines) {

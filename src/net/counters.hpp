@@ -28,10 +28,8 @@ struct WireCounterSnapshot {
   /// they originate, so summing ranks counts every hop exactly once).
   std::uint64_t a_payload_inter_bytes = 0;
   std::uint64_t a_payload_intra_bytes = 0;
-  std::uint64_t shm_payload_bytes = 0;  ///< intra slice served via the ring
   std::uint64_t bcast_frames_sent = 0;      ///< kBcast roots
   std::uint64_t bcast_fwd_frames_sent = 0;  ///< kBcastFwd relays
-  std::uint64_t shm_publishes = 0;          ///< staging-ring publish calls
 };
 
 /// Thread-safe monotonic counters.
@@ -55,15 +53,9 @@ class WireCounters {
     (internode ? a_payload_inter_bytes_ : a_payload_intra_bytes_)
         .fetch_add(payload_bytes, std::memory_order_relaxed);
   }
-  void add_shm_payload(std::uint64_t payload_bytes) {
-    shm_payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-  }
   void add_bcast_frame_sent(bool forwarded) {
     (forwarded ? bcast_fwd_frames_sent_ : bcast_frames_sent_)
         .fetch_add(1, std::memory_order_relaxed);
-  }
-  void add_shm_publish() {
-    shm_publishes_.fetch_add(1, std::memory_order_relaxed);
   }
 
   WireCounterSnapshot snapshot() const {
@@ -78,11 +70,9 @@ class WireCounters {
         a_payload_inter_bytes_.load(std::memory_order_relaxed);
     s.a_payload_intra_bytes =
         a_payload_intra_bytes_.load(std::memory_order_relaxed);
-    s.shm_payload_bytes = shm_payload_bytes_.load(std::memory_order_relaxed);
     s.bcast_frames_sent = bcast_frames_sent_.load(std::memory_order_relaxed);
     s.bcast_fwd_frames_sent =
         bcast_fwd_frames_sent_.load(std::memory_order_relaxed);
-    s.shm_publishes = shm_publishes_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -95,10 +85,8 @@ class WireCounters {
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> a_payload_inter_bytes_{0};
   std::atomic<std::uint64_t> a_payload_intra_bytes_{0};
-  std::atomic<std::uint64_t> shm_payload_bytes_{0};
   std::atomic<std::uint64_t> bcast_frames_sent_{0};
   std::atomic<std::uint64_t> bcast_fwd_frames_sent_{0};
-  std::atomic<std::uint64_t> shm_publishes_{0};
 };
 
 /// The process-wide counter instance. Every net component that is not
@@ -106,7 +94,7 @@ class WireCounters {
 /// renders it. (A worker process naturally reports its own traffic only.)
 WireCounters& global_wire_counters();
 
-/// Unlabelled Prometheus lines for all twelve counts of a snapshot
+/// Unlabelled Prometheus lines for all ten counts of a snapshot
 /// (bstc_wire_*_total, bstc_bcast_*_total); zeros included.
 std::string prometheus_text(const WireCounterSnapshot& s);
 

@@ -1,19 +1,15 @@
 #include "net/launch.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <utility>
 
-#include "comm/bcast.hpp"
 #include "core/engine.hpp"
 #include "machine/topology.hpp"
 #include "net/counters.hpp"
 #include "net/net_transport.hpp"
-#include "shm/bcast_ring.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_merge.hpp"
 #include "service/fingerprint.hpp"
@@ -35,18 +31,6 @@ std::string fmt_double(double v) {
 }
 
 constexpr std::uint32_t kClockProbeRounds = 8;
-
-std::string session_hex(std::uint64_t session) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(session));
-  return buf;
-}
-
-/// Name of rank `r`'s staging ring within a launch session.
-std::string ring_name(std::uint64_t session, int r) {
-  return "/bstc_bc_" + session_hex(session) + "_" + std::to_string(r);
-}
 
 /// Rank 0 side of the clock handshake with `peer`: NTP-style probe
 /// rounds, offset taken at minimum RTT (least queueing noise), then the
@@ -241,50 +225,17 @@ int run_worker(const WorkerOptions& opts) {
                "worker: malformed peer table");
   end_phase("rendezvous");
 
-  // Topology + broadcast policy, decided once by the launcher. Every
-  // rank derives the identical node-aware layout from the same map, so
-  // the permutation needs no extra agreement round. The layout never
-  // enters the problem fingerprint (hellos predate rank assignment).
+  // Topology, published once by the launcher. Every rank derives the
+  // identical node-aware layout from the same map, so the permutation
+  // needs no extra agreement round. The layout never enters the problem
+  // fingerprint (hellos predate rank assignment).
   const std::vector<int> node_of(welcome.node_of_rank.begin(),
                                  welcome.node_of_rank.end());
   BSTC_REQUIRE(node_of.empty() || node_of.size() == static_cast<std::size_t>(np),
                "worker: malformed node map in the welcome");
   const int grid_q = np / prob.plan_cfg.p;
-  std::vector<int> layout;
-  if (welcome.node_aware != 0) {
-    layout = node_aware_layout(prob.plan_cfg.p, grid_q, node_of);
-  }
-
-  // Shm fast path: create our own staging ring *before* dialing the
-  // mesh. Peers attach only after the post-mesh barrier below, and every
-  // rank reaches that barrier strictly after this point — so an attach
-  // can never race ring creation.
-  const bool use_shm = welcome.shm_bcast != 0;
-  std::vector<int> co_located;
-  if (use_shm) {
-    BSTC_REQUIRE(np <= 64,
-                 "worker: the shm broadcast fast path supports np <= 64");
-    for (int r = 0; r < np; ++r) {
-      if (r != rank && bcast_node_of(node_of, r) == bcast_node_of(node_of, rank)) {
-        co_located.push_back(r);
-      }
-    }
-  }
-  // Ring slots must fit any A tile's serialized broadcast frame: tile
-  // payload + key/algo/root/parts header.
-  const auto ring_payload_max = static_cast<std::uint32_t>(
-      static_cast<std::size_t>(opts.spec.tile_hi) *
-          static_cast<std::size_t>(opts.spec.tile_hi) * sizeof(double) +
-      64 + 4 * static_cast<std::size_t>(np));
-  shm::BcastRing own_ring;
-  std::vector<shm::BcastRing> peer_ring_store;  // outlives the transport
-  if (use_shm && !co_located.empty()) {
-    const shm::Status st = shm::BcastRing::create(
-        ring_name(welcome.session, rank), rank, welcome.session,
-        /*nslots=*/8, ring_payload_max,
-        static_cast<int>(co_located.size()), own_ring);
-    BSTC_REQUIRE(st.ok, "worker: staging ring create failed: " + st.message);
-  }
+  const std::vector<int> layout =
+      node_aware_layout(prob.plan_cfg.p, grid_q, node_of);
 
   // Mesh formation: dial every lower rank (their listeners predate their
   // hellos, so a connect can only race process scheduling, which the
@@ -321,26 +272,7 @@ int run_worker(const WorkerOptions& opts) {
     links.push_back(PeerLink{static_cast<int>(peer.rank), std::move(*sock)});
   }
 
-  NetTransport nt(np, rank, std::move(links), &counters,
-                  BcastConfig{welcome.bcast, node_of});
-  if (use_shm) {
-    // Every rank created its ring before the mesh, so after this barrier
-    // every peer's ring exists and the attaches below cannot race.
-    nt.barrier(0);
-    for (const int r : co_located) {
-      shm::BcastRing ring;
-      const shm::Status st = shm::BcastRing::attach(
-          ring_name(welcome.session, r), r, welcome.session, ring);
-      BSTC_REQUIRE(st.ok, "worker: staging ring attach to rank " +
-                              std::to_string(r) + " failed: " + st.message);
-      peer_ring_store.push_back(std::move(ring));
-    }
-    if (!co_located.empty()) {
-      std::vector<shm::BcastRing*> peer_rings;
-      for (shm::BcastRing& r : peer_ring_store) peer_rings.push_back(&r);
-      nt.enable_shm_bcast(&own_ring, std::move(peer_rings));
-    }
-  }
+  NetTransport nt(np, rank, std::move(links), &counters, node_of);
   // Layout-aware homes: C tiles (like A tiles) are 2D-cyclic over grid
   // *slots*; the layout permutation maps slots to ranks.
   GridSpec grid;
@@ -357,7 +289,6 @@ int run_worker(const WorkerOptions& opts) {
   ecfg.plan = plan_cfg;
   ecfg.transport = &nt;
   ecfg.local_rank = rank;
-  ecfg.a_bcast = welcome.bcast;
   ecfg.node_of_rank = node_of;
   const EngineResult res = contract(prob.a, prob.b_shape, prob.b_gen,
                                     prob.c_shape, nullptr, prob.machine, ecfg);
@@ -496,10 +427,8 @@ int run_worker(const WorkerOptions& opts) {
   summary.engine_seconds = res.wall_seconds;
   summary.a_inter_bytes = static_cast<double>(wc.a_payload_inter_bytes);
   summary.a_intra_bytes = static_cast<double>(wc.a_payload_intra_bytes);
-  summary.shm_bytes = static_cast<double>(wc.shm_payload_bytes);
   summary.bcast_frames = wc.bcast_frames_sent;
   summary.bcast_fwd_frames = wc.bcast_fwd_frames_sent;
-  summary.shm_publishes = wc.shm_publishes;
   // Rank-labelled Prometheus lines; the launch CLI concatenates them into
   // one exposition file (--metrics-out).
   summary.metrics_text = obs::label_rank(prometheus_text(wc), rank);
@@ -555,17 +484,6 @@ LaunchReport run_launcher(const LaunchOptions& opts, const SpawnFn& spawn,
     welcome.peers.emplace_back(opts.host, p.hello.listen_port);
     welcome.node_of_rank.push_back(p.hello.node_id);
   }
-  welcome.node_aware = opts.node_aware ? 1 : 0;
-  welcome.bcast = opts.bcast;
-  welcome.shm_bcast = opts.shm_bcast ? 1 : 0;
-  if (opts.shm_bcast) {
-    BSTC_REQUIRE(np <= 64,
-                 "launch: the shm broadcast fast path supports --np <= 64");
-  }
-  // Namespace the shm ring names so concurrent launches on one machine
-  // never collide (pid + rendezvous port are unique per live launcher).
-  welcome.session = (static_cast<std::uint64_t>(::getpid()) << 16) ^
-                    rendezvous.local_port();
   for (int r = 0; r < np; ++r) {
     welcome.rank = static_cast<std::uint32_t>(r);
     send_frame(pending[static_cast<std::size_t>(r)].sock,
@@ -588,7 +506,6 @@ LaunchReport run_launcher(const LaunchOptions& opts, const SpawnFn& spawn,
     report.total_c_wire_bytes += summary.c_wire_bytes;
     report.total_a_inter_bytes += summary.a_inter_bytes;
     report.total_a_intra_bytes += summary.a_intra_bytes;
-    report.total_shm_bytes += summary.shm_bytes;
     if (r == 0) {
       std::optional<Frame> vf = recv_frame(sock, nullptr);
       BSTC_REQUIRE(vf.has_value() && vf->type == FrameType::kVerdict,

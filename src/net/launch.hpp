@@ -77,7 +77,8 @@ struct WorkerOptions {
   /// Self-reported placement: which physical node this rank runs on
   /// (--node-id). The launcher gathers these from the hellos and
   /// publishes the full rank -> node map in the welcome; it drives the
-  /// node-aware grid layout and the intra/inter hop classification.
+  /// node-aware grid layout, the broadcast fanout and the intra/inter hop
+  /// classification.
   int node_id = 0;
   /// When non-empty, enable the obs registry for this process and run
   /// the post-barrier trace gather: every rank ships its spans to rank
@@ -100,18 +101,6 @@ struct LaunchOptions {
   /// Forwarded to every worker as --trace-out; rank 0 writes the merged
   /// per-rank trace here.
   std::string trace_out;
-  /// Pack grid rows onto the fewest nodes (a rank-layout permutation the
-  /// workers all derive from the welcome's node map). The paper's A
-  /// broadcast runs along grid rows, so a row confined to one node moves
-  /// its A traffic off the interconnect entirely.
-  bool node_aware = false;
-  /// A-broadcast algorithm published in the welcome. kAuto picks per
-  /// tile: binomial tree for small tiles / rows, ring for large tiles.
-  BcastSelect bcast = BcastSelect::kAuto;
-  /// Intra-node shared-memory fast path: co-located ranks exchange the
-  /// already-serialized broadcast frames through per-rank staging rings
-  /// instead of loopback sockets. Requires np <= 64.
-  bool shm_bcast = false;
 };
 
 /// What the launcher learns from its workers.
@@ -122,11 +111,10 @@ struct LaunchReport {
   double total_a_wire_bytes = 0.0;    ///< summed over ranks (bytes sent)
   double total_c_wire_bytes = 0.0;
   /// A volume split by hop class, summed over ranks (inter + intra ==
-  /// total_a_wire_bytes); shm is the intra slice that never touched a
-  /// socket. Checked *exactly* against the plan's analytic split.
+  /// total_a_wire_bytes). Checked *exactly* against the plan's analytic
+  /// split.
   double total_a_inter_bytes = 0.0;
   double total_a_intra_bytes = 0.0;
-  double total_shm_bytes = 0.0;
   bool bytes_match = false;  ///< totals + splits == plan statistics, exactly
 };
 

@@ -7,13 +7,13 @@
 namespace bstc::net {
 
 NetTransport::NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
-                           WireCounters* counters, BcastConfig bcast)
+                           WireCounters* counters,
+                           std::vector<int> node_of_rank)
     : Transport(nodes), rank_(rank), counters_(counters),
-      links_(std::move(peers)), bcast_(std::move(bcast)) {
+      links_(std::move(peers)), node_of_rank_(std::move(node_of_rank)) {
   BSTC_REQUIRE(rank_ >= 0 && rank_ < nodes, "net: rank out of range");
-  BSTC_REQUIRE(bcast_.node_of_rank.empty() ||
-                   bcast_.node_of_rank.size() ==
-                       static_cast<std::size_t>(nodes),
+  BSTC_REQUIRE(node_of_rank_.empty() ||
+                   node_of_rank_.size() == static_cast<std::size_t>(nodes),
                "net: broadcast node map size mismatch");
   for (const PeerLink& link : links_) {
     BSTC_REQUIRE(link.rank >= 0 && link.rank < nodes && link.rank != rank_,
@@ -42,35 +42,6 @@ PeerLink& NetTransport::link_of(int peer) {
   throw Error("net: no link to rank " + std::to_string(peer));
 }
 
-void NetTransport::send(int from, int to, std::uint64_t key, Tile tile) {
-  BSTC_REQUIRE(from == rank_,
-               "net: a rank may only send its own messages (from=" +
-                   std::to_string(from) + ", rank=" + std::to_string(rank_) +
-                   ")");
-  count_bytes(from, to, tile.bytes());
-  if (to == rank_) {
-    mailbox(rank_).deliver(key, std::move(tile));
-    return;
-  }
-  post(to, encode_tile(FrameType::kTile, key, tile));
-}
-
-void NetTransport::enable_shm_bcast(shm::BcastRing* own_ring,
-                                    std::vector<shm::BcastRing*> peer_rings) {
-  BSTC_REQUIRE(nodes() <= 64,
-               "net: shm broadcast fast path supports at most 64 ranks");
-  BSTC_REQUIRE(own_ring != nullptr && own_ring->is_writer(),
-               "net: own staging ring must be the created (writer) side");
-  own_ring_ = own_ring;
-  peer_rings_ = std::move(peer_rings);
-  ring_threads_.reserve(peer_rings_.size());
-  for (shm::BcastRing* ring : peer_rings_) {
-    BSTC_REQUIRE(ring != nullptr && !ring->is_writer(),
-                 "net: peer staging rings must be attached (reader) side");
-    ring_threads_.emplace_back([this, ring] { ring_reader_loop(ring); });
-  }
-}
-
 void NetTransport::send_multi(int from, const std::vector<int>& consumers,
                               std::uint64_t key, const Tile& tile) {
   BSTC_REQUIRE(from == rank_,
@@ -81,58 +52,34 @@ void NetTransport::send_multi(int from, const std::vector<int>& consumers,
   std::vector<int> parts = consumers;
   parts.push_back(rank_);
   std::sort(parts.begin(), parts.end());
-  const BcastAlgorithm algo =
-      resolve_bcast(bcast_.select, parts.size(), tile.bytes());
-
-  // Serialize exactly once; every hop (direct post, relay forward, shm
-  // publish) reuses this frame's payload byte-for-byte.
-  Frame frame;
-  if (algo == BcastAlgorithm::kUnicast) {
-    frame = encode_tile(FrameType::kTile, key, tile);
-  } else {
-    BcastTileMsg msg;
-    msg.key = key;
-    msg.algo = algo;
-    msg.root = static_cast<std::uint32_t>(rank_);
-    msg.parts.reserve(parts.size());
-    for (const int r : parts) msg.parts.push_back(static_cast<std::uint32_t>(r));
-    msg.tile = Tile::view(tile.data(), tile.rows(), tile.cols());
-    frame = encode_bcast(msg);
-  }
+  BcastTileMsg msg;
+  msg.key = key;
+  msg.algo = resolve_bcast(parts.size(), tile.bytes());
+  msg.root = static_cast<std::uint32_t>(rank_);
+  msg.parts.reserve(parts.size());
+  for (const int r : parts) msg.parts.push_back(static_cast<std::uint32_t>(r));
+  msg.tile = Tile::view(tile.data(), tile.rows(), tile.cols());
+  // Serialize exactly once; every hop (root post, relay forward) reuses
+  // this frame's payload byte-for-byte.
+  const Frame frame = encode_bcast(msg);
   const std::vector<int> children =
-      bcast_children(algo, parts, rank_, rank_, bcast_.node_of_rank);
+      bcast_children(msg.algo, parts, rank_, rank_, node_of_rank_);
   dispatch_bcast(frame, children, tile.bytes());
 }
 
 void NetTransport::dispatch_bcast(const Frame& frame,
                                   const std::vector<int>& children,
                                   std::size_t tile_bytes) {
-  if (children.empty()) return;
-  const bool is_bcast_frame = frame.type == FrameType::kBcast ||
-                              frame.type == FrameType::kBcastFwd;
   const bool forwarded = frame.type == FrameType::kBcastFwd;
-  const int my_node = bcast_node_of(bcast_.node_of_rank, rank_);
-  std::uint64_t ring_mask = 0;
+  const int my_node = bcast_node_of(node_of_rank_, rank_);
   for (const int child : children) {
-    const bool intra = bcast_node_of(bcast_.node_of_rank, child) == my_node;
+    const bool intra = bcast_node_of(node_of_rank_, child) == my_node;
     // Sender-side hop accounting: the originator of each hop records it,
     // so summing payload_bytes() over ranks counts every hop once.
     count_bytes(rank_, child, tile_bytes);
     if (counters_ != nullptr) counters_->add_a_payload(!intra, tile_bytes);
-    if (intra && own_ring_ != nullptr) {
-      ring_mask |= std::uint64_t{1} << child;
-      if (counters_ != nullptr) counters_->add_shm_payload(tile_bytes);
-      continue;
-    }
     post(child, Frame{frame.type, frame.payload});
-    if (is_bcast_frame) {
-      if (counters_ != nullptr) counters_->add_bcast_frame_sent(forwarded);
-    }
-  }
-  if (ring_mask != 0) {
-    own_ring_->publish(ring_mask, static_cast<std::uint8_t>(frame.type),
-                       frame.payload.data(), frame.payload.size());
-    if (counters_ != nullptr) counters_->add_shm_publish();
+    if (counters_ != nullptr) counters_->add_bcast_frame_sent(forwarded);
   }
 }
 
@@ -145,7 +92,7 @@ void NetTransport::handle_bcast(Frame frame) {
                "net: broadcast participant rank out of range");
   const std::vector<int> children =
       bcast_children(msg.algo, parts, static_cast<int>(msg.root), rank_,
-                     bcast_.node_of_rank);
+                     node_of_rank_);
   if (!children.empty()) {
     // Forward before delivering locally: downstream stalls clear as early
     // as possible, and the relayed frame is the received payload verbatim
@@ -154,31 +101,6 @@ void NetTransport::handle_bcast(Frame frame) {
     dispatch_bcast(fwd, children, msg.tile.bytes());
   }
   mailbox(rank_).deliver(msg.key, std::move(msg.tile));
-}
-
-void NetTransport::ring_reader_loop(shm::BcastRing* ring) {
-  try {
-    shm::BcastRingMessage msg;
-    while (ring->next(msg, ring_stop_)) {
-      if (((msg.dest_mask >> rank_) & 1u) == 0) continue;
-      Frame frame;
-      frame.type = static_cast<FrameType>(msg.frame_type);
-      frame.payload = std::move(msg.payload);
-      if (frame.type == FrameType::kTile) {
-        TileMsg tile_msg = decode_tile(frame);
-        mailbox(rank_).deliver(tile_msg.key, std::move(tile_msg.tile));
-      } else if (frame.type == FrameType::kBcast ||
-                 frame.type == FrameType::kBcastFwd) {
-        handle_bcast(std::move(frame));
-      } else {
-        throw Error("unexpected frame type " +
-                    std::string(frame_type_name(frame.type)) +
-                    " in shm broadcast ring");
-      }
-    }
-  } catch (const std::exception& e) {
-    fail(std::string("shm broadcast ring: ") + e.what());
-  }
 }
 
 void NetTransport::send_c_tile(int home, std::uint64_t key, const Tile& tile) {
@@ -272,15 +194,6 @@ void NetTransport::shutdown(const std::string& reason) {
     tx_cv_.notify_all();
   }
   if (progress_thread_.joinable()) progress_thread_.join();
-  // Stop the shm fast path: mark our ring closed so co-located readers
-  // drain and exit, and stop our readers of the peers' rings. Ring
-  // memory stays mapped in every attached process, so peers still
-  // draining are unaffected by our teardown.
-  ring_stop_.store(true);
-  if (own_ring_ != nullptr) own_ring_->close_writer();
-  for (std::thread& t : ring_threads_) {
-    if (t.joinable()) t.join();
-  }
   // Cut both directions: the write FIN lets the peer's reader finish, and
   // the local read shutdown wakes our own receiver threads even if the
   // peer never sends its kShutdown — teardown must not depend on the
@@ -309,12 +222,11 @@ void NetTransport::fail(const std::string& reason) {
   }
   {
     // Stop the progress thread; anything still queued cannot be trusted
-    // to reach its peer, and send() now throws to abort the engine.
+    // to reach its peer, and post() now throws to abort the engine.
     std::lock_guard lock(tx_mutex_);
     tx_stop_ = true;
     tx_cv_.notify_all();
   }
-  ring_stop_.store(true);  // unblock ring readers promptly
   rx_cv_.notify_all();
   mailbox(rank_).poison(reason);
 }
@@ -365,11 +277,6 @@ void NetTransport::receive_loop(std::size_t link_index) {
         return;
       }
       if (frame->type == FrameType::kShutdown) return;  // orderly peer exit
-      if (frame->type == FrameType::kTile) {
-        TileMsg msg = decode_tile(*frame);
-        mailbox(rank_).deliver(msg.key, std::move(msg.tile));
-        continue;
-      }
       if (frame->type == FrameType::kBcast ||
           frame->type == FrameType::kBcastFwd) {
         handle_bcast(std::move(*frame));

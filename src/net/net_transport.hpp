@@ -4,15 +4,16 @@
 /// Transport implementation over TCP sockets between rank processes.
 ///
 /// NetTransport keeps the exact deliver/wait contract of the in-process
-/// Transport — engines call `send(home, consumer, key, tile)` and
-/// `mailbox(rank).wait(key)` unmodified — but `send` to a remote rank
-/// serializes the tile into a checksummed wire frame and hands it to a
+/// Transport — the engine calls `send_multi(home, consumers, key, tile)`
+/// and `mailbox(rank).wait(key)` unmodified — but `send_multi` serializes
+/// the tile once into a checksummed kBcast frame and hands it to a
 /// background *progress thread*, so the paper's eager A-tile row
 /// broadcast never stalls the sending rank's CPU queue on TCP
 /// backpressure. One receiver thread per peer link drains incoming
-/// frames: tile frames are delivered straight into the local mailbox
-/// (waking any stalled consumer, §5.1), control frames are parked in
-/// per-type queues for the runtime (barriers, C returns, gathers).
+/// frames: broadcast frames are relayed to this rank's fanout children
+/// and delivered into the local mailbox (waking any stalled consumer,
+/// §5.1), control frames are parked in per-type queues for the runtime
+/// (barriers, C returns, gathers).
 ///
 /// Failure semantics: an unexpected EOF or a corrupt frame on any link
 /// poisons the local mailbox and every control queue, so every consumer
@@ -30,7 +31,6 @@
 #include "comm/bcast.hpp"
 #include "comm/transport.hpp"
 #include "net/socket.hpp"
-#include "shm/bcast_ring.hpp"
 
 namespace bstc::net {
 
@@ -40,50 +40,31 @@ struct PeerLink {
   Socket socket;
 };
 
-/// Broadcast policy + topology for the collective A path; every rank must
-/// be configured identically (the welcome carries one global decision).
-struct BcastConfig {
-  BcastSelect select = BcastSelect::kUnicast;
-  std::vector<int> node_of_rank;  ///< empty = every rank its own node
-};
-
 class NetTransport : public Transport {
  public:
   /// `peers` must hold one connected link per remote rank (np - 1 links
   /// for a full mesh). `counters` (optional) receives wire-level counts;
   /// the payload byte count inherited from Transport receives the tile
-  /// accounting that is compared against plan statistics. `bcast`
-  /// is the broadcast policy + node map; it is fixed here, before the
-  /// receiver threads start, because a peer's first broadcast frame may
-  /// arrive as soon as they do.
+  /// accounting that is compared against plan statistics.
+  /// `node_of_rank` is the rank -> node map every rank shares (empty =
+  /// every rank its own node); it is fixed here, before the receiver
+  /// threads start, because a peer's first broadcast frame may arrive as
+  /// soon as they do.
   NetTransport(int nodes, int rank, std::vector<PeerLink> peers,
-               WireCounters* counters = nullptr, BcastConfig bcast = {});
+               WireCounters* counters = nullptr,
+               std::vector<int> node_of_rank = {});
   ~NetTransport() override;
 
   int rank() const { return rank_; }
 
-  /// The Transport contract. `from` must be the local rank; a local
-  /// destination delivers directly, a remote one ships a kTile frame.
-  /// Tile payload bytes are counted exactly as the in-process transport
-  /// counts them.
-  void send(int from, int to, std::uint64_t key, Tile tile) override;
-
-  /// Collective A broadcast. The tile is serialized exactly once; the
-  /// resolved algorithm decides who this rank forwards to (its fanout
-  /// children), receivers recompute theirs from the self-describing
-  /// frame, and co-located children are served through the shm staging
-  /// ring when enabled. Per-hop payload bytes land in payload_bytes()
-  /// (sender side of each hop) and in the WireCounters intra/inter split.
+  /// Collective A broadcast; `from` must be the local rank. The tile is
+  /// serialized exactly once; resolve_bcast picks the algorithm, which
+  /// decides who this rank forwards to (its fanout children), and
+  /// receivers recompute theirs from the self-describing frame. Per-hop
+  /// payload bytes land in payload_bytes() (sender side of each hop) and
+  /// in the WireCounters intra/inter split.
   void send_multi(int from, const std::vector<int>& consumers,
                   std::uint64_t key, const Tile& tile) override;
-
-  /// Enable the intra-node fast path: `own_ring` is this rank's staging
-  /// ring (created before the mesh formed, so peers cannot publish before
-  /// it exists); `peer_rings` are the co-located peers' rings, one reader
-  /// thread each. Rings are borrowed — the caller keeps them alive until
-  /// after shutdown(). Requires np <= 64 (destination bitmask).
-  void enable_shm_bcast(shm::BcastRing* own_ring,
-                        std::vector<shm::BcastRing*> peer_rings);
 
   /// Send a computed C tile back to its home rank (kCTile). Counts the
   /// payload bytes in payload_bytes() and in c_wire_bytes().
@@ -116,15 +97,13 @@ class NetTransport : public Transport {
   void fail(const std::string& reason);
   PeerLink& link_of(int peer);
 
-  /// Relay-or-deliver for an incoming (or ring-read) broadcast frame:
-  /// record + forward to this rank's children first, then deliver the
-  /// tile to the local mailbox.
+  /// Relay-or-deliver for an incoming broadcast frame: record + forward
+  /// to this rank's children first, then deliver the tile to the local
+  /// mailbox.
   void handle_bcast(Frame frame);
-  /// Record each child hop and route the already-encoded frame to it
-  /// (socket post, or one ring publish covering all co-located children).
+  /// Record each child hop and post the already-encoded frame to it.
   void dispatch_bcast(const Frame& frame, const std::vector<int>& children,
                       std::size_t tile_bytes);
-  void ring_reader_loop(shm::BcastRing* ring);
 
   int rank_;
   WireCounters* counters_;
@@ -132,12 +111,8 @@ class NetTransport : public Transport {
   std::vector<std::thread> rx_threads_;
   std::thread progress_thread_;
 
-  // Broadcast routing state (bcast_ is immutable after construction).
-  BcastConfig bcast_;
-  shm::BcastRing* own_ring_ = nullptr;       ///< borrowed; we publish
-  std::vector<shm::BcastRing*> peer_rings_;  ///< borrowed; we read
-  std::vector<std::thread> ring_threads_;
-  std::atomic<bool> ring_stop_{false};
+  /// Broadcast topology (immutable after construction).
+  std::vector<int> node_of_rank_;
 
   // Outgoing queue consumed by the progress thread.
   std::mutex tx_mutex_;

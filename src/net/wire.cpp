@@ -8,7 +8,6 @@ const char* frame_type_name(FrameType type) {
   switch (type) {
     case FrameType::kHello: return "hello";
     case FrameType::kWelcome: return "welcome";
-    case FrameType::kTile: return "tile";
     case FrameType::kCTile: return "ctile";
     case FrameType::kCDone: return "cdone";
     case FrameType::kGather: return "gather";
@@ -36,8 +35,10 @@ std::uint64_t wire_checksum(const std::uint8_t* data, std::size_t size) {
 namespace {
 
 bool valid_frame_type(std::uint8_t raw) {
+  constexpr std::uint8_t kRetiredTile = 3;
   return raw >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kBcastFwd);
+         raw <= static_cast<std::uint8_t>(FrameType::kBcastFwd) &&
+         raw != kRetiredTile;
 }
 
 }  // namespace
@@ -270,10 +271,6 @@ Frame encode_welcome(const WelcomeMsg& msg) {
   }
   w.u32(static_cast<std::uint32_t>(msg.node_of_rank.size()));
   for (const std::uint32_t n : msg.node_of_rank) w.u32(n);
-  w.u8(msg.node_aware);
-  w.u8(static_cast<std::uint8_t>(msg.bcast));
-  w.u8(msg.shm_bcast);
-  w.u64(msg.session);
   return Frame{FrameType::kWelcome, w.take()};
 }
 
@@ -298,13 +295,6 @@ WelcomeMsg decode_welcome(const Frame& frame) {
                "wire: truncated welcome node map");
   msg.node_of_rank.reserve(nodes);
   for (std::uint32_t i = 0; i < nodes; ++i) msg.node_of_rank.push_back(r.u32());
-  msg.node_aware = r.u8();
-  const std::uint8_t bcast = r.u8();
-  BSTC_REQUIRE(bcast <= static_cast<std::uint8_t>(BcastSelect::kAuto),
-               "wire: unknown broadcast selection");
-  msg.bcast = static_cast<BcastSelect>(bcast);
-  msg.shm_bcast = r.u8();
-  msg.session = r.u64();
   r.finish();
   return msg;
 }
@@ -351,10 +341,8 @@ Frame encode_summary(const SummaryMsg& msg) {
   w.f64(msg.engine_seconds);
   w.f64(msg.a_inter_bytes);
   w.f64(msg.a_intra_bytes);
-  w.f64(msg.shm_bytes);
   w.u64(msg.bcast_frames);
   w.u64(msg.bcast_fwd_frames);
-  w.u64(msg.shm_publishes);
   w.str(msg.metrics_text);
   return Frame{FrameType::kSummary, w.take()};
 }
@@ -375,10 +363,8 @@ SummaryMsg decode_summary(const Frame& frame) {
   msg.engine_seconds = r.f64();
   msg.a_inter_bytes = r.f64();
   msg.a_intra_bytes = r.f64();
-  msg.shm_bytes = r.f64();
   msg.bcast_frames = r.u64();
   msg.bcast_fwd_frames = r.u64();
-  msg.shm_publishes = r.u64();
   msg.metrics_text = r.str();
   r.finish();
   return msg;

@@ -51,7 +51,11 @@ inline constexpr std::uint32_t kWireMagic = 0x42535443u;  // "BSTC"
 /// v4: the checksum field is XXH64 (support/hash) instead of byte-serial
 /// FNV-1a; frame layout and sizes are unchanged, so an older peer is
 /// refused by this version byte rather than by a checksum mismatch.
-inline constexpr std::uint8_t kWireVersion = 4;
+/// v5: the welcome carries only the peer table and the node map (the
+/// broadcast policy and grid layout are derived from it); the summary
+/// drops the shm staging-ring counts; frame type 3 (point-to-point A
+/// tile) is retired.
+inline constexpr std::uint8_t kWireVersion = 5;
 inline constexpr std::size_t kWireHeaderBytes = 12;
 inline constexpr std::size_t kWireChecksumBytes = 8;
 /// Upper bound on one payload: a guard against a corrupted length field
@@ -62,7 +66,8 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 28;
 enum class FrameType : std::uint8_t {
   kHello = 1,     ///< worker -> rendezvous / peer identification
   kWelcome = 2,   ///< rendezvous -> worker: rank assignment + peer table
-  kTile = 3,      ///< an A tile of the background row broadcast
+  // 3 was kTile, a point-to-point A tile; retired in v5 (A travels only
+  // as kBcast / kBcastFwd).
   kCTile = 4,     ///< a computed C tile returning to its home rank
   kCDone = 5,     ///< "all my C returns are sent" (count attached)
   kGather = 6,    ///< a home-owned C tile travelling to rank 0
@@ -154,7 +159,7 @@ class WireReader {
 // ---------------------------------------------------------------------------
 // Message serializers.
 
-/// A keyed tile message (FrameType::kTile / kCTile / kGather). The key is
+/// A keyed tile message (FrameType::kCTile / kGather). The key is
 /// the engine's (row << 32 | col) tile key.
 struct TileMsg {
   std::uint64_t key = 0;
@@ -197,17 +202,13 @@ Frame encode_hello(const HelloMsg& msg);
 HelloMsg decode_hello(const Frame& frame);
 
 /// Rendezvous reply: the worker's rank, where every peer listens, and the
-/// globally-agreed topology + broadcast policy (every rank must derive the
-/// identical grid layout and fanouts, so the launcher decides once).
+/// globally-agreed node map (every rank derives the identical grid layout
+/// and broadcast fanouts from it, so the launcher publishes it once).
 struct WelcomeMsg {
   std::uint32_t rank = 0;
   std::uint32_t np = 0;
   std::vector<std::pair<std::string, std::uint16_t>> peers;  ///< by rank
   std::vector<std::uint32_t> node_of_rank;  ///< size np (from the hellos)
-  std::uint8_t node_aware = 0;   ///< pack grid rows onto nodes
-  BcastSelect bcast = BcastSelect::kUnicast;
-  std::uint8_t shm_bcast = 0;    ///< intra-node shared-memory fast path
-  std::uint64_t session = 0;     ///< namespaces the shm ring names
 };
 
 Frame encode_welcome(const WelcomeMsg& msg);
@@ -231,14 +232,11 @@ struct SummaryMsg {
   std::uint64_t reconnects = 0;
   std::size_t tasks_executed = 0;
   double engine_seconds = 0.0;
-  /// A-broadcast payload split by hop class (inter + intra = a_wire_bytes;
-  /// shm_bytes is the slice of intra that never touched a socket).
+  /// A-broadcast payload split by hop class (inter + intra = a_wire_bytes).
   double a_inter_bytes = 0.0;
   double a_intra_bytes = 0.0;
-  double shm_bytes = 0.0;
   std::uint64_t bcast_frames = 0;      ///< kBcast frames this rank sent
   std::uint64_t bcast_fwd_frames = 0;  ///< kBcastFwd relays this rank sent
-  std::uint64_t shm_publishes = 0;     ///< staging-ring publish calls
   std::string metrics_text;  ///< rank-labelled bstc_wire_*/bstc_bcast_* lines
 };
 

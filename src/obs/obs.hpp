@@ -38,7 +38,7 @@
 namespace bstc::obs {
 
 /// Span taxonomy. Categories are coarse on purpose: the span *name*
-/// carries the instance detail ("gemmbatch(0,2,1)", "tx(tile)", ...).
+/// carries the instance detail ("gemmbatch(0,2,1)", "tx(bcast)", ...).
 enum class Category : std::uint8_t {
   kTask = 0,        ///< one scheduler task body (lane = queue id)
   kCommTx,          ///< one frame written to a socket

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "comm/bcast.hpp"
 #include "shape/shape_algebra.hpp"
 #include "support/error.hpp"
 
@@ -49,12 +50,7 @@ std::vector<GemmGroup> GemmEnumerator::gemm_groups(const Chunk& chunk,
 }
 
 PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
-                        const Shape& b, const Shape& c) {
-  return compute_stats(plan, a, b, c, BcastSelect::kUnicast, {});
-}
-
-PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
-                        const Shape& b, const Shape& c, BcastSelect select,
+                        const Shape& b, const Shape& c,
                         const std::vector<int>& node_of_rank) {
   PlanStats st;
   st.flops_per_gpu.resize(plan.nodes.size());
@@ -133,8 +129,8 @@ PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
   // A broadcast volume, hop for hop with the transport's fanout: each
   // tile's participant set is its home plus every consumer; the resolved
   // algorithm's hops are classified by node. Every consumer is reached
-  // exactly once whatever the algorithm, so the total equals the unicast
-  // accounting byte-for-byte; only the intra/inter split moves.
+  // exactly once whatever the algorithm, so the total is one tile per
+  // consumer; only the intra/inter split depends on the fanout.
   for (const auto& [key, consumers] : a_consumers) {
     const auto i = static_cast<std::uint32_t>(key / a.tile_cols());
     const auto k = static_cast<std::uint32_t>(key % a.tile_cols());
@@ -145,8 +141,8 @@ PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
     std::vector<int> parts = consumers;
     parts.push_back(home);
     std::sort(parts.begin(), parts.end());
-    const BcastAlgorithm algo = resolve_bcast(
-        select, parts.size(), static_cast<std::size_t>(tile_bytes));
+    const BcastAlgorithm algo =
+        resolve_bcast(parts.size(), static_cast<std::size_t>(tile_bytes));
     for (const BcastHop hop : bcast_hops(algo, parts, home, node_of_rank)) {
       if (bcast_node_of(node_of_rank, hop.from) ==
           bcast_node_of(node_of_rank, hop.to)) {

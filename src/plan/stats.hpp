@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/bcast.hpp"
 #include "plan/plan.hpp"
 #include "shape/shape.hpp"
 
@@ -93,12 +92,11 @@ struct PlanStats {
   double c_network_bytes = 0.0;  ///< inter-node C return volume
   double b_generated_bytes = 0.0;  ///< B bytes generated on demand (per node)
 
-  /// The A broadcast volume split by hop class under the broadcast
-  /// algorithm and rank -> node topology the stats were computed with
-  /// (a_internode + a_intranode == a_network_bytes exactly; with no
-  /// topology every hop counts as inter-node). The transport records the
-  /// same classification per hop, so measured and analytic values must
-  /// agree to the byte.
+  /// The A broadcast volume split by hop class under the rank -> node
+  /// topology the stats were computed with (a_internode + a_intranode ==
+  /// a_network_bytes exactly; with no topology every hop counts as
+  /// inter-node). The transport records the same classification per hop,
+  /// so measured and analytic values must agree to the byte.
   double a_internode_bytes = 0.0;
   double a_intranode_bytes = 0.0;
 
@@ -110,18 +108,14 @@ struct PlanStats {
 
 /// Compute the statistics of `plan` for the product defined by (a, b, c).
 /// The A broadcast volume is predicted hop-for-hop with comm/bcast's
-/// fanout (the transport's own routing function): `select` is the
-/// broadcast policy and `node_of_rank` the rank -> node map (empty =
-/// every rank its own node). The total a_network_bytes is
-/// algorithm-independent — every consumer receives each tile exactly
-/// once — but the intra/inter split is not.
+/// fanout (the transport's own routing function, resolve_bcast per
+/// tile) under the rank -> node map `node_of_rank` (empty = every rank
+/// its own node, so every hop is inter-node). The total a_network_bytes
+/// is one tile per consumer whatever the map; the intra/inter split is
+/// not.
 PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
-                        const Shape& b, const Shape& c, BcastSelect select,
-                        const std::vector<int>& node_of_rank);
-
-/// Unicast over a flat topology (the historical accounting).
-PlanStats compute_stats(const ExecutionPlan& plan, const Shape& a,
-                        const Shape& b, const Shape& c);
+                        const Shape& b, const Shape& c,
+                        const std::vector<int>& node_of_rank = {});
 
 /// Check the structural invariants of a plan; returns human-readable
 /// violation descriptions (empty = valid). Verifies:

@@ -244,18 +244,10 @@ void ContractionService::process(Job& job) {
       resp.fingerprint = session.fingerprint;
       resp.plan_cache_hit = true;  // resolved at open_session
       resp.start_latency_s = job.since_submit.elapsed_s();
+      // B tiles stay cached across iterations: the session's
+      // amortization of B generation.
       EngineConfig engine = session.cfg.engine;
-      std::vector<std::unique_ptr<TileSource>> iteration_b;
-      if (session.cfg.persistent_b) {
-        engine.b_cache = &session.b_cache;
-      } else if (session.cfg.b_source_factory) {
-        for (std::size_t n = 0; n < session.plan->plan.nodes.size(); ++n) {
-          iteration_b.push_back(session.cfg.b_source_factory());
-        }
-        engine.b_cache = &iteration_b;
-      } else {
-        engine.b_cache = nullptr;
-      }
+      engine.b_cache = &session.b_cache;
       Timer exec;
       EngineResult result = contract_lowered(
           session.plan->plan, *session.lowered, *job.a, session.cfg.b_shape,
@@ -332,7 +324,7 @@ ServiceStatus ContractionService::open_session(const SessionConfig& cfg,
   // Attach-by-fingerprint: a session opened against a shared store binds
   // its per-node B slots to zero-copy sources up front, so no iteration
   // ever generates a tile locally.
-  if (cfg.b_source_factory && cfg.persistent_b) {
+  if (cfg.b_source_factory) {
     for (std::size_t n = 0; n < session->plan->plan.nodes.size(); ++n) {
       session->b_cache.push_back(cfg.b_source_factory());
     }

@@ -112,9 +112,6 @@ struct SessionConfig {
   TileGenerator b_generator;
   MachineModel machine = MachineModel::summit_gpus(1);
   EngineConfig engine;
-  /// Keep B tiles cached across iterations (the session's amortization
-  /// of B generation). Disable to regenerate per iteration.
-  bool persistent_b = true;
   /// Optional zero-copy B backend, as in ContractionRequest: when set,
   /// the session's per-node B slots are filled from this factory at
   /// open_session() and attach-by-fingerprint replaces generation.

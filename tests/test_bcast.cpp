@@ -1,14 +1,13 @@
 /// Tests for the collective A-broadcast layer: fanout properties of the
-/// tree/ring/hierarchical algorithms, node-aware grid layouts, the
-/// serialize-once guarantee of NetTransport::send_multi, the shared-memory
-/// staging ring, and the analytic intra/inter-node volume split.
+/// tree/ring/hierarchical algorithms, the tile-size policy that picks
+/// between them, node-aware grid layouts, the serialize-once guarantee of
+/// NetTransport::send_multi, and the analytic intra/inter-node volume
+/// split.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -24,7 +23,6 @@
 #include "obs/obs.hpp"
 #include "plan/builder.hpp"
 #include "plan/stats.hpp"
-#include "shm/bcast_ring.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -94,8 +92,7 @@ TEST(Bcast, EveryAlgorithmDeliversEachConsumerExactlyOnce) {
       {0, 1, 0, 1, 0, 1, 0, 1},  // interleaved
       {0, 0, 1, 1, 2, 2, 3, 3},  // packed pairs
   };
-  for (const auto algo : {BcastAlgorithm::kUnicast, BcastAlgorithm::kTree,
-                          BcastAlgorithm::kRing}) {
+  for (const auto algo : {BcastAlgorithm::kTree, BcastAlgorithm::kRing}) {
     for (const auto& map : maps) {
       for (int trial = 0; trial < 8; ++trial) {
         std::vector<int> parts;
@@ -133,19 +130,6 @@ TEST(Bcast, HierarchicalFanoutCrossesEachNodeBoundaryOnce) {
   }
 }
 
-TEST(Bcast, UnicastRootSendsEverythingNobodyRelays) {
-  const std::vector<int> parts = {0, 2, 5, 6};
-  const std::vector<int> map = {0, 0, 1, 1, 2, 2, 3, 3};
-  const auto kids =
-      bcast_children(BcastAlgorithm::kUnicast, parts, 2, 2, map);
-  EXPECT_EQ(kids, (std::vector<int>{0, 5, 6}));
-  for (const int self : {0, 5, 6}) {
-    EXPECT_TRUE(
-        bcast_children(BcastAlgorithm::kUnicast, parts, 2, self, map)
-            .empty());
-  }
-}
-
 TEST(Bcast, NodeAwareLayoutPacksRowsOntoFewestNodes) {
   // 2x2 grid, ranks interleaved across two nodes: the identity layout
   // puts one rank of each node in every row; the node-aware layout
@@ -164,62 +148,69 @@ TEST(Bcast, NodeAwareLayoutPacksRowsOntoFewestNodes) {
 }
 
 TEST(Bcast, NodeAwareLayoutIsIdentityOnASingleNode) {
+  // The identity comes back empty (GridSpec's spelling of it), so a
+  // single-node run plans exactly as a run with no node map at all.
   const std::vector<int> map(6, 0);
-  const std::vector<int> layout = node_aware_layout(2, 3, map);
-  EXPECT_EQ(layout, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(node_aware_layout(2, 3, map).empty());
+  EXPECT_TRUE(node_aware_layout(2, 3, {}).empty());
+  // Ranks already packed by node need no permutation either.
+  EXPECT_TRUE(node_aware_layout(2, 2, {0, 0, 1, 1}).empty());
+  EXPECT_THROW(node_aware_layout(2, 2, {0, 0, 1}), Error);
 }
 
-TEST(Bcast, ParseAndResolvePolicies) {
-  EXPECT_EQ(parse_bcast_select("unicast"), BcastSelect::kUnicast);
-  EXPECT_EQ(parse_bcast_select("tree"), BcastSelect::kTree);
-  EXPECT_EQ(parse_bcast_select("ring"), BcastSelect::kRing);
-  EXPECT_EQ(parse_bcast_select("auto"), BcastSelect::kAuto);
-  EXPECT_THROW(parse_bcast_select("binomial"), Error);
-
-  // Fixed selections pass through untouched.
-  EXPECT_EQ(resolve_bcast(BcastSelect::kRing, 2, 16),
-            BcastAlgorithm::kRing);
-  EXPECT_EQ(resolve_bcast(BcastSelect::kUnicast, 8, 1 << 20),
-            BcastAlgorithm::kUnicast);
-  // Auto: pairs always tree; big tiles ring; small tiles tree.
-  EXPECT_EQ(resolve_bcast(BcastSelect::kAuto, 2, 1 << 30),
+TEST(Bcast, ResolvePicksTreeBelowTheRingSizeAndRingAtOrAbove) {
+  // Pairs are always a tree (one hop either way); otherwise the tile
+  // size alone decides.
+  EXPECT_EQ(resolve_bcast(2, 1 << 30), BcastAlgorithm::kTree);
+  EXPECT_EQ(resolve_bcast(4, kRingBcastMinBytes), BcastAlgorithm::kRing);
+  EXPECT_EQ(resolve_bcast(4, kRingBcastMinBytes - 1),
             BcastAlgorithm::kTree);
-  EXPECT_EQ(resolve_bcast(BcastSelect::kAuto, 4,
-                          kBcastRingThresholdBytes),
-            BcastAlgorithm::kRing);
-  EXPECT_EQ(resolve_bcast(BcastSelect::kAuto, 4,
-                          kBcastRingThresholdBytes - 1),
-            BcastAlgorithm::kTree);
+  EXPECT_EQ(resolve_bcast(3, 16), BcastAlgorithm::kTree);
 }
 
-/// Three fully meshed ranks over socket pairs (same shape as the
-/// NetTransport tests) — the smallest topology with a relaying receiver.
-struct LoopbackTrio {
-  net::WireCounters counters[3];
-  std::unique_ptr<net::NetTransport> t[3];
+/// `n` fully meshed ranks over socket pairs (same shape as the
+/// NetTransport tests), all sharing the rank -> node map `node_of_rank`.
+struct LoopbackMesh {
+  std::vector<net::WireCounters> counters;
+  std::vector<std::unique_ptr<net::NetTransport>> t;
 
-  explicit LoopbackTrio(const net::BcastConfig& bcast = {}) {
-    int p01[2], p02[2], p12[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, p01) != 0 ||
-        ::socketpair(AF_UNIX, SOCK_STREAM, 0, p02) != 0 ||
-        ::socketpair(AF_UNIX, SOCK_STREAM, 0, p12) != 0) {
-      throw Error("socketpair failed");
+  explicit LoopbackMesh(int n, const std::vector<int>& node_of_rank = {})
+      : counters(static_cast<std::size_t>(n)) {
+    std::vector<std::vector<net::PeerLink>> links(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+          throw Error("socketpair failed");
+        }
+        links[static_cast<std::size_t>(i)].push_back(
+            net::PeerLink{j, net::Socket(fds[0])});
+        links[static_cast<std::size_t>(j)].push_back(
+            net::PeerLink{i, net::Socket(fds[1])});
+      }
     }
-    std::vector<net::PeerLink> l0;
-    l0.push_back(net::PeerLink{1, net::Socket(p01[0])});
-    l0.push_back(net::PeerLink{2, net::Socket(p02[0])});
-    t[0] = std::make_unique<net::NetTransport>(3, 0, std::move(l0),
-                                               &counters[0], bcast);
-    std::vector<net::PeerLink> l1;
-    l1.push_back(net::PeerLink{0, net::Socket(p01[1])});
-    l1.push_back(net::PeerLink{2, net::Socket(p12[0])});
-    t[1] = std::make_unique<net::NetTransport>(3, 1, std::move(l1),
-                                               &counters[1], bcast);
-    std::vector<net::PeerLink> l2;
-    l2.push_back(net::PeerLink{0, net::Socket(p02[1])});
-    l2.push_back(net::PeerLink{1, net::Socket(p12[1])});
-    t[2] = std::make_unique<net::NetTransport>(3, 2, std::move(l2),
-                                               &counters[2], bcast);
+    for (int r = 0; r < n; ++r) {
+      const auto x = static_cast<std::size_t>(r);
+      t.push_back(std::make_unique<net::NetTransport>(
+          n, r, std::move(links[x]), &counters[x], node_of_rank));
+    }
+  }
+
+  /// Payload bytes of every hop, summed over the senders.
+  std::uint64_t hop_bytes() const {
+    std::uint64_t bytes = 0;
+    for (const auto& c : counters) {
+      const auto s = c.snapshot();
+      bytes += s.a_payload_inter_bytes + s.a_payload_intra_bytes;
+    }
+    return bytes;
+  }
+
+  /// Relays record their hops on their rx threads; give them a moment.
+  void await_hop_bytes(std::uint64_t want) const {
+    for (int i = 0; i < 2000 && hop_bytes() < want; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 };
 
@@ -230,19 +221,19 @@ std::uint64_t tile_encodes() {
 }
 
 TEST(Bcast, TreeBroadcastSerializesTheTileExactlyOnce) {
-  // The regression the refactor exists for: a q-consumer broadcast used
-  // to serialize the tile q times (one unicast each). The tree encodes
-  // once at the root; relays retype the received payload verbatim.
-  LoopbackTrio trio({BcastSelect::kTree, {}});
+  // A q-consumer broadcast encodes the tile once at the root; relays
+  // retype the received payload verbatim. A small tile takes the tree.
+  LoopbackMesh mesh(3);
 
   Rng rng(5);
   Tile tile(9, 7);
   tile.fill_random(rng);
+  ASSERT_EQ(resolve_bcast(3, tile.bytes()), BcastAlgorithm::kTree);
   const std::uint64_t before = tile_encodes();
-  trio.t[0]->send_multi(0, {1, 2}, 33, tile);
+  mesh.t[0]->send_multi(0, {1, 2}, 33, tile);
 
   for (int r : {1, 2}) {
-    const Tile& got = trio.t[r]->mailbox(r).wait(33);
+    const Tile& got = mesh.t[r]->mailbox(r).wait(33);
     ASSERT_EQ(got.rows(), tile.rows());
     ASSERT_EQ(got.cols(), tile.cols());
     EXPECT_EQ(std::memcmp(got.data(), tile.data(), tile.bytes()), 0);
@@ -250,47 +241,44 @@ TEST(Bcast, TreeBroadcastSerializesTheTileExactlyOnce) {
   EXPECT_EQ(tile_encodes() - before, 1u);
 
   // Sender-side hop accounting sums to one payload per consumer across
-  // the ranks, whichever of them relayed (give the relay's rx thread a
-  // moment to record).
-  const auto summed = [&] {
-    std::uint64_t bytes = 0;
-    for (const auto& c : trio.counters) {
-      const auto s = c.snapshot();
-      bytes += s.a_payload_inter_bytes + s.a_payload_intra_bytes;
-    }
-    return bytes;
-  };
-  for (int i = 0; i < 2000 && summed() < 2 * tile.bytes(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(summed(), 2 * tile.bytes());
+  // the ranks, whichever of them relayed.
+  mesh.await_hop_bytes(2 * tile.bytes());
+  EXPECT_EQ(mesh.hop_bytes(), 2 * tile.bytes());
 }
 
-TEST(Bcast, UnicastFallbackAlsoSerializesOnce) {
-  // Even the unicast algorithm benefits from send_multi: the kTile frame
-  // is encoded once and posted to each consumer — unlike the legacy
-  // per-consumer send() loop, which re-serializes on every call.
-  LoopbackTrio trio({BcastSelect::kUnicast, {}});
+TEST(Bcast, RingBroadcastOfALargeTileInjectsOneRootFrame) {
+  // A tile at or above the ring size with three consumers takes the
+  // ring: the root injects exactly one frame, each consumer but the last
+  // relays one, and the tile is serialized once for the whole row.
+  constexpr int kRanks = 4;
+  LoopbackMesh mesh(kRanks);
 
-  Rng rng(6);
-  Tile tile(4, 4);
+  Rng rng(8);
+  Tile tile(256, 128);  // 256 KiB
   tile.fill_random(rng);
-  std::uint64_t before = tile_encodes();
-  trio.t[0]->send_multi(0, {1, 2}, 44, tile);
-  for (int r : {1, 2}) {
-    const Tile& got = trio.t[r]->mailbox(r).wait(44);
+  ASSERT_GE(tile.bytes(), kRingBcastMinBytes);
+  ASSERT_EQ(resolve_bcast(kRanks, tile.bytes()), BcastAlgorithm::kRing);
+  const std::uint64_t before = tile_encodes();
+  mesh.t[0]->send_multi(0, {1, 2, 3}, 66, tile);
+
+  for (int r = 1; r < kRanks; ++r) {
+    const Tile& got = mesh.t[r]->mailbox(r).wait(66);
     EXPECT_EQ(std::memcmp(got.data(), tile.data(), tile.bytes()), 0);
   }
   EXPECT_EQ(tile_encodes() - before, 1u);
+  mesh.await_hop_bytes(3 * tile.bytes());
+  EXPECT_EQ(mesh.hop_bytes(), 3 * tile.bytes());
 
-  // The legacy baseline the refactor replaced: one encode per consumer.
-  before = tile_encodes();
-  for (int r : {1, 2}) {
-    Tile copy = tile;
-    trio.t[0]->send(0, r, 45, std::move(copy));
+  const auto root = mesh.counters[0].snapshot();
+  EXPECT_EQ(root.bcast_frames_sent, 1u);
+  EXPECT_EQ(root.bcast_fwd_frames_sent, 0u);
+  EXPECT_EQ(root.a_payload_inter_bytes, tile.bytes());
+  for (int r = 1; r < kRanks; ++r) {
+    const auto s = mesh.counters[static_cast<std::size_t>(r)].snapshot();
+    EXPECT_EQ(s.bcast_frames_sent, 0u) << "rank " << r;
+    EXPECT_EQ(s.bcast_fwd_frames_sent, r + 1 < kRanks ? 1u : 0u)
+        << "rank " << r;
   }
-  for (int r : {1, 2}) (void)trio.t[r]->mailbox(r).wait(45);
-  EXPECT_EQ(tile_encodes() - before, 2u);
 }
 
 TEST(Bcast, ConstructorNodeMapGovernsAnImmediateRelay) {
@@ -300,21 +288,21 @@ TEST(Bcast, ConstructorNodeMapGovernsAnImmediateRelay) {
   // The tree crosses the interconnect once (0 -> 1) and rank 1's
   // receiver thread relays to its co-located peer (1 -> 2) — a decision
   // it can only make from the node map.
-  LoopbackTrio trio({BcastSelect::kTree, {0, 1, 1}});
+  LoopbackMesh mesh(3, {0, 1, 1});
   Rng rng(7);
   Tile tile(6, 5);
   tile.fill_random(rng);
-  trio.t[0]->send_multi(0, {1, 2}, 55, tile);
+  mesh.t[0]->send_multi(0, {1, 2}, 55, tile);
 
   const std::uint64_t bytes = tile.bytes();
-  for (int i = 0; i < 2000 && trio.counters[1].snapshot()
+  for (int i = 0; i < 2000 && mesh.counters[1].snapshot()
                                       .a_payload_intra_bytes < bytes;
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const auto s0 = trio.counters[0].snapshot();
-  const auto s1 = trio.counters[1].snapshot();
-  const auto s2 = trio.counters[2].snapshot();
+  const auto s0 = mesh.counters[0].snapshot();
+  const auto s1 = mesh.counters[1].snapshot();
+  const auto s2 = mesh.counters[2].snapshot();
   EXPECT_EQ(s0.a_payload_inter_bytes, bytes);
   EXPECT_EQ(s0.a_payload_intra_bytes, 0u);
   EXPECT_EQ(s1.a_payload_inter_bytes, 0u);
@@ -323,93 +311,9 @@ TEST(Bcast, ConstructorNodeMapGovernsAnImmediateRelay) {
   ASSERT_EQ(s1.a_payload_intra_bytes, bytes);
   EXPECT_EQ(s2.a_payload_inter_bytes + s2.a_payload_intra_bytes, 0u);
   for (int r : {1, 2}) {
-    const Tile& got = trio.t[r]->mailbox(r).wait(55);
+    const Tile& got = mesh.t[r]->mailbox(r).wait(55);
     EXPECT_EQ(std::memcmp(got.data(), tile.data(), tile.bytes()), 0);
   }
-}
-
-std::string test_ring_name(const char* tag) {
-  return "/bstc_test_" + std::string(tag) + "_" +
-         std::to_string(::getpid());
-}
-
-TEST(Bcast, RingRoundTripsMaskTypeAndPayload) {
-  const std::string name = test_ring_name("rt");
-  shm::BcastRing writer;
-  ASSERT_TRUE(shm::BcastRing::create(name, /*owner_rank=*/3,
-                                     /*session=*/0xabcdu, /*nslots=*/4,
-                                     /*max_payload_bytes=*/256,
-                                     /*readers=*/1, writer)
-                  .ok);
-  shm::BcastRing reader;
-  ASSERT_TRUE(shm::BcastRing::attach(name, 3, 0xabcdu, reader).ok);
-
-  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-  writer.publish(0b1010, 18, payload.data(), payload.size());
-  writer.publish(0b0100, 19, payload.data(), 2);
-  writer.close_writer();
-
-  std::atomic<bool> stop{false};
-  shm::BcastRingMessage msg;
-  ASSERT_TRUE(reader.next(msg, stop));
-  EXPECT_EQ(msg.dest_mask, 0b1010u);
-  EXPECT_EQ(msg.frame_type, 18);
-  EXPECT_EQ(msg.payload, payload);
-  ASSERT_TRUE(reader.next(msg, stop));
-  EXPECT_EQ(msg.dest_mask, 0b0100u);
-  EXPECT_EQ(msg.frame_type, 19);
-  EXPECT_EQ(msg.payload,
-            (std::vector<std::uint8_t>{1, 2}));
-  // Closed and drained: no more messages.
-  EXPECT_FALSE(reader.next(msg, stop));
-}
-
-TEST(Bcast, RingFlowControlSurvivesAWrapAroundBacklog) {
-  // More messages than slots: the writer must block on the slowest
-  // reader's cursor and every message must still arrive in order.
-  const std::string name = test_ring_name("flow");
-  shm::BcastRing writer;
-  ASSERT_TRUE(shm::BcastRing::create(name, 0, 7, /*nslots=*/2,
-                                     /*max_payload_bytes=*/64,
-                                     /*readers=*/1, writer)
-                  .ok);
-  shm::BcastRing reader;
-  ASSERT_TRUE(shm::BcastRing::attach(name, 0, 7, reader).ok);
-
-  constexpr int kMessages = 17;
-  std::thread producer([&] {
-    for (int i = 0; i < kMessages; ++i) {
-      const std::uint8_t byte = static_cast<std::uint8_t>(i);
-      writer.publish(1, 18, &byte, 1);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    writer.close_writer();
-  });
-
-  std::atomic<bool> stop{false};
-  shm::BcastRingMessage msg;
-  int seen = 0;
-  while (reader.next(msg, stop)) {
-    ASSERT_EQ(msg.payload.size(), 1u);
-    EXPECT_EQ(msg.payload[0], static_cast<std::uint8_t>(seen));
-    ++seen;
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  producer.join();
-  EXPECT_EQ(seen, kMessages);
-}
-
-TEST(Bcast, RingAttachValidatesOwnerAndSession) {
-  const std::string name = test_ring_name("val");
-  shm::BcastRing writer;
-  ASSERT_TRUE(
-      shm::BcastRing::create(name, 2, 99, 2, 64, 1, writer).ok);
-  shm::BcastRing reader;
-  EXPECT_FALSE(shm::BcastRing::attach(name, 1, 99, reader).ok);
-  EXPECT_FALSE(shm::BcastRing::attach(name, 2, 98, reader).ok);
-  EXPECT_FALSE(
-      shm::BcastRing::attach("/bstc_test_absent", 2, 99, reader).ok);
-  EXPECT_TRUE(shm::BcastRing::attach(name, 2, 99, reader).ok);
 }
 
 TEST(Bcast, StatsSplitFollowsTopologyAndTotalIsInvariant) {
@@ -423,42 +327,38 @@ TEST(Bcast, StatsSplitFollowsTopologyAndTotalIsInvariant) {
 
   const std::vector<int> interleaved = {0, 1, 0, 1};
   const auto stats_for = [&](const std::vector<int>& layout,
-                             BcastSelect select,
                              const std::vector<int>& map) {
     PlanConfig cfg = prob.plan_cfg;
     cfg.rank_layout = layout;
     const ExecutionPlan plan = build_plan(prob.a_shape, prob.b_shape,
                                           prob.c_shape, prob.machine, cfg);
     return compute_stats(plan, prob.a_shape, prob.b_shape, prob.c_shape,
-                         select, map);
+                         map);
   };
 
   const std::vector<int> identity = {0, 1, 2, 3};
   const std::vector<int> packed = node_aware_layout(2, 2, interleaved);
 
-  const PlanStats base = stats_for(identity, BcastSelect::kUnicast, {});
+  const PlanStats base = stats_for(identity, {});
   ASSERT_GT(base.a_network_bytes, 0.0);
   // No topology: every hop is inter-node.
   EXPECT_DOUBLE_EQ(base.a_internode_bytes, base.a_network_bytes);
   EXPECT_DOUBLE_EQ(base.a_intranode_bytes, 0.0);
 
-  for (const auto select : {BcastSelect::kUnicast, BcastSelect::kTree,
-                            BcastSelect::kRing, BcastSelect::kAuto}) {
-    // Identity layout + interleaved nodes: with q = 2 the only consumer
-    // of each A tile is its row-mate, which sits on the other node.
-    const PlanStats flat = stats_for(identity, select, interleaved);
-    EXPECT_DOUBLE_EQ(flat.a_network_bytes, base.a_network_bytes);
-    EXPECT_DOUBLE_EQ(flat.a_internode_bytes, base.a_network_bytes);
-    EXPECT_DOUBLE_EQ(flat.a_intranode_bytes, 0.0);
+  // Identity layout + interleaved nodes: with q = 2 the only consumer of
+  // each A tile is its row-mate, which sits on the other node.
+  const PlanStats flat = stats_for(identity, interleaved);
+  EXPECT_DOUBLE_EQ(flat.a_network_bytes, base.a_network_bytes);
+  EXPECT_DOUBLE_EQ(flat.a_internode_bytes, base.a_network_bytes);
+  EXPECT_DOUBLE_EQ(flat.a_intranode_bytes, 0.0);
 
-    // Node-aware layout confines each grid row to one node: the same
-    // total volume, but every hop is now intra-node.
-    const PlanStats aware = stats_for(packed, select, interleaved);
-    EXPECT_DOUBLE_EQ(aware.a_network_bytes, base.a_network_bytes);
-    EXPECT_DOUBLE_EQ(aware.a_internode_bytes, 0.0);
-    EXPECT_DOUBLE_EQ(aware.a_intranode_bytes, base.a_network_bytes);
-    EXPECT_DOUBLE_EQ(aware.c_network_bytes, base.c_network_bytes);
-  }
+  // Node-aware layout confines each grid row to one node: the same total
+  // volume, but every hop is now intra-node.
+  const PlanStats aware = stats_for(packed, interleaved);
+  EXPECT_DOUBLE_EQ(aware.a_network_bytes, base.a_network_bytes);
+  EXPECT_DOUBLE_EQ(aware.a_internode_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(aware.a_intranode_bytes, base.a_network_bytes);
+  EXPECT_DOUBLE_EQ(aware.c_network_bytes, base.c_network_bytes);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 /// processes: four fork()ed workers on TCP loopback spread over two
 /// simulated nodes (--node-id), checked bitwise against the
 /// single-process engine, with the measured intra/inter-node byte split
-/// checked *exactly* against the plan's analytic prediction — and, with
-/// the shm fast path on, with zero broadcast frames on any socket.
+/// checked *exactly* against the plan's analytic prediction. No option
+/// selects the layout or the algorithm: both follow from the node map
+/// and the tile sizes.
 ///
 /// fork()-based like test_net_integration; excluded from TSan runs.
 
@@ -12,9 +13,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "comm/bcast.hpp"
+#include "core/engine.hpp"
+#include "machine/topology.hpp"
 #include "net/launch.hpp"
+#include "plan/builder.hpp"
 #include "support/error.hpp"
 
 namespace bstc::net {
@@ -81,8 +88,10 @@ NetProblemSpec small_spec() {
   return spec;
 }
 
-LaunchReport launch_two_nodes(const LaunchOptions& opts,
+LaunchReport launch_two_nodes(const NetProblemSpec& spec,
                               std::vector<Child>& children) {
+  LaunchOptions opts;
+  opts.spec = spec;
   // Workers 0 and 2 report node 0; workers 1 and 3 report node 1 (rank
   // assignment is by hello arrival order, so the welcome's rank -> node
   // map — which everything downstream uses — absorbs any reordering).
@@ -110,42 +119,14 @@ void expect_clean_exit(const std::vector<Child>& children) {
   }
 }
 
-TEST(BcastIntegration, RingBroadcastOverTwoNodesIsBitwiseAndExact) {
-  // Default (identity) layout over two nodes: the measured split — both
-  // slices — must equal the analytic prediction byte-for-byte, and the
-  // result must stay bitwise identical to the single-process engine.
-  LaunchOptions opts;
-  opts.spec = small_spec();
-  opts.bcast = BcastSelect::kRing;
-  std::vector<Child> children;
-  const LaunchReport report = launch_two_nodes(opts, children);
-  expect_clean_exit(children);
-
-  EXPECT_TRUE(report.verdict.bitwise_identical);
-  EXPECT_TRUE(report.bytes_match);
-  EXPECT_TRUE(report.ok);
-  EXPECT_GT(report.total_a_wire_bytes, 0.0);
-  EXPECT_EQ(report.total_a_inter_bytes + report.total_a_intra_bytes,
-            report.total_a_wire_bytes);
-  EXPECT_EQ(report.total_a_inter_bytes,
-            report.verdict.stats_a_internode_bytes);
-  EXPECT_EQ(report.total_a_intra_bytes,
-            report.verdict.stats_a_intranode_bytes);
-  // No shm path configured: nothing may claim ring delivery.
-  EXPECT_EQ(report.total_shm_bytes, 0.0);
-}
-
 TEST(BcastIntegration, NodeAwareGridMovesAllATrafficIntraNode) {
-  // Two grid rows, two ranks per node: the node-aware layout confines
-  // each row to one node, so the paper's row broadcast leaves the
-  // interconnect entirely — inter-node A bytes drop to exactly zero
-  // while the total volume (and the bitwise result) is unchanged.
-  LaunchOptions opts;
-  opts.spec = small_spec();
-  opts.node_aware = true;
-  opts.bcast = BcastSelect::kTree;
+  // Two grid rows, two ranks per node, no flag: the node-aware layout
+  // confines each row to one node, so the paper's row broadcast leaves
+  // the interconnect entirely — inter-node A bytes are exactly zero
+  // while the total volume (and the bitwise result) is unchanged. Any
+  // two-plus-two arrival order of the hellos gives the same answer.
   std::vector<Child> children;
-  const LaunchReport report = launch_two_nodes(opts, children);
+  const LaunchReport report = launch_two_nodes(small_spec(), children);
   expect_clean_exit(children);
 
   EXPECT_TRUE(report.verdict.bitwise_identical);
@@ -157,39 +138,71 @@ TEST(BcastIntegration, NodeAwareGridMovesAllATrafficIntraNode) {
   EXPECT_EQ(report.verdict.stats_a_internode_bytes, 0.0);
 }
 
-TEST(BcastIntegration, ShmFastPathTakesBroadcastsOffTheSockets) {
-  // Node-aware + shm staging rings: every A hop is intra-node and every
-  // intra-node hop rides shared memory, so not one broadcast frame may
-  // appear on any socket — the counters prove the fast path is total,
-  // and the verdict proves it is invisible to the numerics.
-  LaunchOptions opts;
-  opts.spec = small_spec();
-  opts.node_aware = true;
-  opts.bcast = BcastSelect::kTree;
-  opts.shm_bcast = true;
+TEST(BcastIntegration, RingBroadcastOverTwoNodesIsBitwiseAndExact) {
+  // One grid row of four ranks straddles both nodes, and every A tile
+  // is 192 x 192 (288 KiB), so the policy broadcasts it by ring to the
+  // whole row (B is dense: every rank consumes every tile). Each tile
+  // then crosses the interconnect exactly (distinct nodes - 1) = 1
+  // times whatever order the hellos arrived in; the measured split must
+  // land on that prediction and on the plan's, byte for byte.
+  NetProblemSpec spec;
+  spec.m = 192;
+  spec.k = 768;
+  spec.n = 768;
+  spec.tile_lo = spec.tile_hi = 192;
+  spec.density = 1.0;
+  spec.np = 4;
+  spec.p = 1;
+  spec.gpu_mem = 4.0e6;
+
+  // The row's layout is the identity on any two-plus-two map, so the
+  // test's own lowering of the plan names every broadcast of the run.
+  const std::vector<int> map = {0, 1, 0, 1};
+  ASSERT_TRUE(node_aware_layout(spec.p, spec.np / spec.p, map).empty());
+  const BuiltProblem prob = build_problem(spec);
+  const ExecutionPlan plan = build_plan(prob.a_shape, prob.b_shape,
+                                        prob.c_shape, prob.machine,
+                                        prob.plan_cfg);
+  EngineConfig ecfg;
+  ecfg.plan = prob.plan_cfg;
+  const std::shared_ptr<const LoweredPlan> lowered = lower_plan(
+      plan, prob.a_shape, prob.b_shape, prob.c_shape, prob.machine, ecfg);
+  ASSERT_FALSE(lowered->a_sends.empty());
+  double expect_inter = 0.0;
+  double expect_intra = 0.0;
+  for (const LoweredPlan::ASend& send : lowered->a_sends) {
+    std::vector<int> parts = send.consumers;
+    parts.push_back(send.home);
+    std::sort(parts.begin(), parts.end());
+    ASSERT_EQ(parts.size(), 4u);
+    const double bytes =
+        static_cast<double>(prob.a.tile(send.i, send.k).bytes());
+    const BcastAlgorithm algo =
+        resolve_bcast(parts.size(), static_cast<std::size_t>(bytes));
+    ASSERT_EQ(algo, BcastAlgorithm::kRing);
+    int crossings = 0;
+    for (const BcastHop& hop : bcast_hops(algo, parts, send.home, map)) {
+      crossings += bcast_node_of(map, hop.from) != bcast_node_of(map, hop.to);
+    }
+    EXPECT_EQ(crossings, distinct_nodes(parts, map) - 1);
+    expect_inter += crossings * bytes;
+    expect_intra += (static_cast<double>(parts.size()) - 1 - crossings) * bytes;
+  }
+
   std::vector<Child> children;
-  const LaunchReport report = launch_two_nodes(opts, children);
+  const LaunchReport report = launch_two_nodes(spec, children);
   expect_clean_exit(children);
 
   EXPECT_TRUE(report.verdict.bitwise_identical);
   EXPECT_TRUE(report.bytes_match);
   EXPECT_TRUE(report.ok);
-  EXPECT_GT(report.total_a_wire_bytes, 0.0);
-  EXPECT_EQ(report.total_a_inter_bytes, 0.0);
-  // The entire intra slice was served from the rings...
-  EXPECT_EQ(report.total_shm_bytes, report.total_a_wire_bytes);
-  // ...and no rank put a single broadcast frame on a socket.
-  std::uint64_t socket_bcast_frames = 0;
-  std::uint64_t publishes = 0;
-  ASSERT_EQ(report.summaries.size(), 4u);
-  for (const SummaryMsg& s : report.summaries) {
-    socket_bcast_frames += s.bcast_frames + s.bcast_fwd_frames;
-    publishes += s.shm_publishes;
-    EXPECT_EQ(s.a_inter_bytes, 0.0);
-    EXPECT_EQ(s.shm_bytes, s.a_intra_bytes);
-  }
-  EXPECT_EQ(socket_bcast_frames, 0u);
-  EXPECT_GT(publishes, 0u);
+  EXPECT_GT(report.total_a_inter_bytes, 0.0);
+  EXPECT_EQ(report.total_a_inter_bytes, expect_inter);
+  EXPECT_EQ(report.total_a_intra_bytes, expect_intra);
+  EXPECT_EQ(report.total_a_inter_bytes,
+            report.verdict.stats_a_internode_bytes);
+  EXPECT_EQ(report.total_a_intra_bytes,
+            report.verdict.stats_a_intranode_bytes);
 }
 
 }  // namespace

@@ -66,8 +66,6 @@ const char* const kSeriesOfOtherOwners[] = {
     "bstc_bcast_fwd_frames_total",
     "bstc_bcast_inter_bytes_total",
     "bstc_bcast_intra_bytes_total",
-    "bstc_bcast_shm_bytes_total",
-    "bstc_bcast_shm_publishes_total",
     // obs registry: shared-memory data plane
     "bstc_b_tiles_generated_total",
     "bstc_shm_store_builds_total",

@@ -43,7 +43,7 @@ TEST(NetTransport, RemoteSendDeliversBitwise) {
   Tile tile(7, 5);
   tile.fill_random(rng);
   const Tile original = tile;  // keep the exact bits
-  pair.t0->send(0, 1, 42, std::move(tile));
+  pair.t0->send_multi(0, {1}, 42, tile);
 
   const Tile& got = pair.t1->mailbox(1).wait(42);
   ASSERT_EQ(got.rows(), original.rows());
@@ -64,11 +64,15 @@ TEST(NetTransport, RemoteSendDeliversBitwise) {
 
 TEST(NetTransport, LocalSendNeverTouchesTheWire) {
   LoopbackPair pair;
-  pair.t0->send(0, 0, 7, Tile(2, 2));
-  EXPECT_TRUE(pair.t0->mailbox(0).contains(7));
+  const Tile t(2, 2);
+  // No consumers: nothing is framed, counted or delivered.
+  pair.t0->send_multi(0, {}, 7, t);
+  EXPECT_FALSE(pair.t0->mailbox(0).contains(7));
+  EXPECT_DOUBLE_EQ(pair.t0->payload_bytes(), 0.0);
+  // A rank may only originate its own broadcasts, and never to itself.
+  EXPECT_THROW(pair.t0->send_multi(1, {0}, 8, t), Error);
+  EXPECT_THROW(pair.t0->send_multi(0, {0}, 9, t), Error);
   EXPECT_EQ(pair.counters0.snapshot().frames_sent, 0u);
-  // A rank may only originate its own messages.
-  EXPECT_THROW(pair.t0->send(1, 0, 8, Tile(1, 1)), Error);
 }
 
 TEST(NetTransport, ControlFramesParkByType) {
@@ -212,12 +216,12 @@ TEST(NetTransport, PeerDeathPoisonsWaitersAndSends) {
   EXPECT_THROW(t0.mailbox(0).wait(1), Error);
   EXPECT_THROW(t0.wait_frame(FrameType::kCDone), Error);
   // After the failure surfaced, new sends are refused.
-  EXPECT_THROW(t0.send(0, 1, 2, Tile(1, 1)), Error);
+  EXPECT_THROW(t0.send_multi(0, {1}, 2, Tile(1, 1)), Error);
 }
 
 TEST(NetTransport, OrderlyShutdownIsSilent) {
   LoopbackPair pair;
-  pair.t0->send(0, 1, 1, Tile(3, 3));
+  pair.t0->send_multi(0, {1}, 1, Tile(3, 3));
   (void)pair.t1->mailbox(1).wait(1);
   pair.t0->shutdown("done");
   pair.t1->shutdown("done");

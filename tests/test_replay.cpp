@@ -278,9 +278,6 @@ TEST(Replay, LoweringForOtherEngineFieldsIsNeverReused) {
   EngineConfig other_rank = plain;
   other_rank.local_rank = 0;
   EXPECT_FALSE(lowered->fits(other_rank));
-  EngineConfig other_bcast = plain;
-  other_bcast.a_bcast = BcastSelect::kTree;
-  EXPECT_FALSE(lowered->fits(other_bcast));
   EXPECT_DOUBLE_EQ(lowered->stats.a_internode_bytes,
                    lowered->stats.a_network_bytes);
 

@@ -18,7 +18,7 @@ TEST(Transport, DeliverAndWait) {
   Transport transport(2);
   Tile t(2, 2);
   t.at(0, 1) = 7.0;
-  transport.send(0, 1, 42, std::move(t));
+  transport.send_multi(0, {1}, 42, t);
   EXPECT_TRUE(transport.mailbox(1).contains(42));
   const Tile& received = transport.mailbox(1).wait(42);
   EXPECT_DOUBLE_EQ(received.at(0, 1), 7.0);
@@ -36,15 +36,16 @@ TEST(Transport, WaitBlocksUntilDelivery) {
   // Deliver after the consumer is (very likely) waiting.
   Tile t(1, 1);
   t.at(0, 0) = 3.5;
-  transport.send(0, 1, 7, std::move(t));
+  transport.send_multi(0, {1}, 7, t);
   consumer.join();
   EXPECT_DOUBLE_EQ(seen, 3.5);
 }
 
 TEST(Transport, DuplicateKeyRejected) {
-  Transport transport(1);
-  transport.send(0, 0, 1, Tile(1, 1));
-  EXPECT_THROW(transport.send(0, 0, 1, Tile(1, 1)), Error);
+  Transport transport(2);
+  const Tile t(1, 1);
+  transport.send_multi(0, {1}, 1, t);
+  EXPECT_THROW(transport.send_multi(0, {1}, 1, t), Error);
   EXPECT_THROW(transport.mailbox(3), Error);
 }
 
@@ -73,23 +74,28 @@ TEST(Transport, PoisonWakesAndThrowsForStalledWaiters) {
 }
 
 TEST(Transport, LocalSendRecordsNoBytes) {
+  // A tile never travels to its own home: a broadcast with no consumers
+  // moves and counts nothing, and naming the root as a consumer is
+  // refused before anything is counted or delivered.
   Transport transport(2);
-  transport.send(1, 1, 5, Tile(4, 4));
+  const Tile t(4, 4);
+  transport.send_multi(1, {}, 5, t);
+  EXPECT_THROW(transport.send_multi(1, {1}, 6, t), Error);
   EXPECT_DOUBLE_EQ(transport.payload_bytes(), 0.0);
-  EXPECT_TRUE(transport.mailbox(1).contains(5));
+  EXPECT_EQ(transport.mailbox(1).delivered_count(), 0u);
 }
 
 TEST(Transport, PayloadBytesCountOnlyRemoteMoves) {
   Transport transport(3);
-  transport.send(0, 1, 1, Tile(1, 10));  // 80 bytes
-  transport.send(1, 2, 2, Tile(1, 5));   // 40 bytes
-  transport.send(2, 2, 3, Tile(4, 4));   // local: not traffic
+  const Tile wide(1, 10), narrow(1, 5), pair(1, 2), unit(1, 1);
+  transport.send_multi(0, {1}, 1, wide);    // 80 bytes
+  transport.send_multi(1, {2}, 2, narrow);  // 40 bytes
   EXPECT_DOUBLE_EQ(transport.payload_bytes(), 120.0);
   // A broadcast counts once per consumer.
-  transport.send_multi(0, {1, 2}, 4, Tile(1, 2));
+  transport.send_multi(0, {1, 2}, 4, pair);
   EXPECT_DOUBLE_EQ(transport.payload_bytes(), 152.0);
-  EXPECT_THROW(transport.send(7, 0, 5, Tile(1, 1)), Error);
-  EXPECT_THROW(transport.send(0, -1, 5, Tile(1, 1)), Error);
+  EXPECT_THROW(transport.send_multi(7, {0}, 5, unit), Error);
+  EXPECT_THROW(transport.send_multi(0, {-1}, 5, unit), Error);
   EXPECT_DOUBLE_EQ(transport.payload_bytes(), 152.0);
   EXPECT_FALSE(transport.mailbox(0).contains(5));
 }

@@ -23,7 +23,7 @@ TEST(Wire, TileRoundTripsBitwise) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(trial) << 32) | 7u;
 
-    const Frame frame = encode_tile(FrameType::kTile, key, tile);
+    const Frame frame = encode_tile(FrameType::kCTile, key, tile);
     const std::vector<std::uint8_t> bytes = encode_frame(frame);
     const TileMsg msg = decode_tile(decode_frame(bytes));
 
@@ -65,11 +65,13 @@ TEST(Wire, ControlMessagesRoundTrip) {
   welcome.np = 4;
   welcome.peers = {{"127.0.0.1", 1111}, {"10.0.0.2", 2222},
                    {"localhost", 3333}, {"127.0.0.1", 4444}};
+  welcome.node_of_rank = {0, 1, 0, 1};
   const WelcomeMsg w2 = decode_welcome(decode_frame(
       encode_frame(encode_welcome(welcome))));
   EXPECT_EQ(w2.rank, welcome.rank);
   EXPECT_EQ(w2.np, welcome.np);
   EXPECT_EQ(w2.peers, welcome.peers);
+  EXPECT_EQ(w2.node_of_rank, welcome.node_of_rank);
 
   EXPECT_EQ(decode_count(encode_count(FrameType::kCDone, 987654321ull),
                          FrameType::kCDone),
@@ -114,7 +116,7 @@ TEST(Wire, CorruptedBytesAreRejected) {
   Rng rng(5);
   tile.fill_random(rng);
   const std::vector<std::uint8_t> good =
-      encode_frame(encode_tile(FrameType::kTile, 9, tile));
+      encode_frame(encode_tile(FrameType::kCTile, 9, tile));
   // Flip every byte position in turn: header, payload, or checksum — any
   // single corruption must be rejected (the checksum covers the header).
   for (std::size_t pos = 0; pos < good.size();
@@ -135,15 +137,22 @@ TEST(Wire, EveryBitFlipOfASmallFrameIsRejected) {
   }
 }
 
+/// Re-stamp `frame`'s version byte and recompute its checksum, as a peer
+/// speaking that version would have sent it.
+std::vector<std::uint8_t> as_version(std::vector<std::uint8_t> frame,
+                                     std::uint8_t version) {
+  frame[4] = version;
+  const std::size_t body = frame.size() - kWireChecksumBytes;
+  const std::uint64_t sum = wire_checksum(frame.data(), body);
+  std::memcpy(frame.data() + body, &sum, sizeof sum);
+  return frame;
+}
+
 TEST(Wire, OlderProtocolVersionIsRefusedByVersion) {
-  // A frame from a v3 peer (FNV-1a checksum) must be refused for its
+  // A frame from the previous protocol version must be refused for its
   // version byte, even when its checksum is valid under this build.
-  std::vector<std::uint8_t> old =
-      encode_frame(encode_count(FrameType::kCDone, 1));
-  old[4] = kWireVersion - 1;
-  const std::size_t body = old.size() - kWireChecksumBytes;
-  const std::uint64_t sum = wire_checksum(old.data(), body);
-  std::memcpy(old.data() + body, &sum, sizeof sum);
+  const std::vector<std::uint8_t> old = as_version(
+      encode_frame(encode_count(FrameType::kCDone, 1)), kWireVersion - 1);
   try {
     decode_frame(old);
     ADD_FAILURE() << "a v" << int(old[4]) << " frame was accepted";
@@ -152,6 +161,39 @@ TEST(Wire, OlderProtocolVersionIsRefusedByVersion) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(Wire, V4WelcomeIsRefusedByItsVersionByte) {
+  // A v4 launcher's welcome carried the broadcast knobs after the node
+  // map (layout flag, broadcast selection, shm flag, ring session). A v5
+  // worker must refuse it by the version byte, before it could misread
+  // those trailing fields.
+  WelcomeMsg welcome;
+  welcome.np = 2;
+  welcome.peers = {{"127.0.0.1", 1111}, {"127.0.0.1", 2222}};
+  welcome.node_of_rank = {0, 0};
+  Frame v4 = encode_welcome(welcome);
+  WireWriter knobs;
+  knobs.u8(1);   // node_aware
+  knobs.u8(3);   // bcast = auto
+  knobs.u8(0);   // shm_bcast
+  knobs.u64(7);  // session
+  v4.payload.insert(v4.payload.end(), knobs.bytes().begin(),
+                    knobs.bytes().end());
+  const std::vector<std::uint8_t> bytes = as_version(encode_frame(v4), 4);
+  try {
+    decode_frame(bytes);
+    ADD_FAILURE() << "a v4 welcome was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported protocol version"),
+              std::string::npos)
+        << e.what();
+  }
+  // Frame type 3, the retired point-to-point A tile, is unknown in v5.
+  std::vector<std::uint8_t> tile_frame =
+      encode_frame(encode_tile(FrameType::kCTile, 1, Tile(1, 1)));
+  tile_frame[5] = 3;
+  EXPECT_THROW(decode_frame(as_version(tile_frame, kWireVersion)), Error);
 }
 
 TEST(Wire, TruncatedAndTrailingFramesAreRejected) {
@@ -180,7 +222,7 @@ TEST(Wire, LengthBombIsRejected) {
 TEST(Wire, PayloadSizeMustMatchTileExtents) {
   // A tile frame whose payload length disagrees with rows*cols is
   // corrupt even if the checksum was recomputed by an attacker/bug.
-  Frame frame = encode_tile(FrameType::kTile, 1, Tile(2, 2));
+  Frame frame = encode_tile(FrameType::kGather, 1, Tile(2, 2));
   frame.payload.pop_back();
   EXPECT_THROW(decode_tile(frame), Error);
 }
@@ -519,13 +561,13 @@ TEST(Wire, BcastRejectsMalformedHeaders) {
                Error);
   // Fewer than two participants is not a broadcast.
   EXPECT_THROW(decode_bcast(make(BcastAlgorithm::kRing, 0, {0})), Error);
-  // The unicast algorithm byte never appears on the wire.
+  // Algorithm byte 0 (the retired unicast) never appears on the wire.
   Frame frame = make(BcastAlgorithm::kTree, 0, {0, 1});
-  frame.payload[8] = static_cast<std::uint8_t>(BcastAlgorithm::kUnicast);
+  frame.payload[8] = 0;
   EXPECT_THROW(decode_bcast(frame), Error);
   // Only broadcast frame types are accepted.
-  const Frame wrong{FrameType::kTile, make(BcastAlgorithm::kTree, 0,
-                                           {0, 1}).payload};
+  const Frame wrong{FrameType::kCTile, make(BcastAlgorithm::kTree, 0,
+                                            {0, 1}).payload};
   EXPECT_THROW(decode_bcast(wrong), Error);
 }
 

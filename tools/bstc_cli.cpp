@@ -455,13 +455,6 @@ int cmd_launch(const Args& args) {
   opts.host = args.get("host", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(args.get_int("port", 0));
   opts.trace_out = args.get("trace-out", "");
-  opts.node_aware = args.get_bool("node-aware", false);
-  opts.shm_bcast = args.get_bool("shm-bcast", false);
-  // Broadcast policy: the flag wins, then the BSTC_BCAST environment
-  // override, then auto (tree for small tiles, ring for large).
-  const char* env_bcast = std::getenv("BSTC_BCAST");
-  opts.bcast = parse_bcast_select(
-      args.get("bcast", env_bcast != nullptr ? env_bcast : "auto"));
   const std::string metrics_out = args.get("metrics-out", "");
   const std::vector<int> node_map = parse_node_map(args, opts.spec.np);
 
@@ -542,15 +535,13 @@ int cmd_launch(const Args& args) {
                       report.verdict.stats_a_internode_bytes
                   ? "exact"
                   : "MISMATCH");
-  std::printf("A intra-node   %.0f bytes measured vs %.0f analytic -> %s "
-              "(%.0f via shm)\n",
+  std::printf("A intra-node   %.0f bytes measured vs %.0f analytic -> %s\n",
               report.total_a_intra_bytes,
               report.verdict.stats_a_intranode_bytes,
               report.total_a_intra_bytes ==
                       report.verdict.stats_a_intranode_bytes
                   ? "exact"
-                  : "MISMATCH",
-              report.total_shm_bytes);
+                  : "MISMATCH");
   if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
     BSTC_REQUIRE(out.good(), "launch: cannot write " + metrics_out);
@@ -1396,18 +1387,15 @@ const CommandInfo kCommands[] = {
              {"node-map", "LIST  node id of each worker, e.g. 0,1,0,1"},
              {"ranks-per-node",
               "N  shorthand: workers 0..N-1 on node 0, ..."},
-             {"node-aware", "  pack grid rows onto the fewest nodes (moves\n"
-                            "the A broadcast off the interconnect)"},
-             {"bcast", "ALG  unicast | tree | ring | auto (default: the\n"
-                       "BSTC_BCAST env var, else auto)"},
-             {"shm-bcast", "  serve co-located ranks via shared-memory\n"
-                           "staging rings instead of loopback sockets"},
              {"metrics-out", "F  write per-rank bstc_wire_* and bstc_bcast_*\n"
                              "Prometheus lines"}},
      "  Forks --np workers of this binary, runs the 2D-grid contraction\n"
      "  over TCP, verifies C bitwise against a single-process run, and\n"
      "  checks measured wire bytes against the plan statistics exactly\n"
-     "  (totals and the intra-/inter-node split).\n"},
+     "  (totals and the intra-/inter-node split). Grid rows are packed\n"
+     "  onto the fewest nodes of the node map, and each A tile is\n"
+     "  broadcast along its row by a binomial tree (tiles < 256 KiB) or a\n"
+     "  ring (larger tiles) over one leader per node.\n"},
     {"worker", "join a launch rendezvous (spawned by `launch`)",
      "usage: bstc_cli worker --host H --port P [problem flags]", cmd_worker,
      kNetSpecFlags +
