@@ -341,11 +341,13 @@ ServiceStatus ProgramRunner::run(std::uint64_t a_seed, ProgramResult& result) {
     }
   };
 
+  // The caller is one of the workers: threads = 1 starts no thread.
   const int thread_count = std::max(
       1, std::min(opts_.threads, static_cast<int>(n)));
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(thread_count));
-  for (int t = 0; t < thread_count; ++t) pool.emplace_back(worker);
+  pool.reserve(static_cast<std::size_t>(thread_count - 1));
+  for (int t = 1; t < thread_count; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
 
   if (failed) {

@@ -61,24 +61,24 @@ void NetTransport::send_multi(int from, const std::vector<int>& consumers,
   msg.tile = Tile::view(tile.data(), tile.rows(), tile.cols());
   // Serialize exactly once; every hop (root post, relay forward) reuses
   // this frame's payload byte-for-byte.
-  const Frame frame = encode_bcast(msg);
   const std::vector<int> children =
       bcast_children(msg.algo, parts, rank_, rank_, node_of_rank_);
-  dispatch_bcast(frame, children, tile.bytes());
+  dispatch_bcast(encode_bcast(msg), children, tile.bytes());
 }
 
-void NetTransport::dispatch_bcast(const Frame& frame,
+void NetTransport::dispatch_bcast(Frame frame,
                                   const std::vector<int>& children,
                                   std::size_t tile_bytes) {
   const bool forwarded = frame.type == FrameType::kBcastFwd;
   const int my_node = bcast_node_of(node_of_rank_, rank_);
-  for (const int child : children) {
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    const int child = children[i];
     const bool intra = bcast_node_of(node_of_rank_, child) == my_node;
     // Sender-side hop accounting: the originator of each hop records it,
     // so summing payload_bytes() over ranks counts every hop once.
     count_bytes(rank_, child, tile_bytes);
     if (counters_ != nullptr) counters_->add_a_payload(!intra, tile_bytes);
-    post(child, Frame{frame.type, frame.payload});
+    post(child, i + 1 == children.size() ? std::move(frame) : frame);
     if (counters_ != nullptr) counters_->add_bcast_frame_sent(forwarded);
   }
 }
@@ -97,8 +97,8 @@ void NetTransport::handle_bcast(Frame frame) {
     // Forward before delivering locally: downstream stalls clear as early
     // as possible, and the relayed frame is the received payload verbatim
     // (retyped kBcastFwd) — the tile is never re-serialized.
-    const Frame fwd{FrameType::kBcastFwd, std::move(frame.payload)};
-    dispatch_bcast(fwd, children, msg.tile.bytes());
+    dispatch_bcast(Frame{FrameType::kBcastFwd, std::move(frame.payload)},
+                   children, msg.tile.bytes());
   }
   mailbox(rank_).deliver(msg.key, std::move(msg.tile));
 }

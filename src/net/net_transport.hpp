@@ -101,8 +101,9 @@ class NetTransport : public Transport {
   /// to this rank's children first, then deliver the tile to the local
   /// mailbox.
   void handle_bcast(Frame frame);
-  /// Record each child hop and post the already-encoded frame to it.
-  void dispatch_bcast(const Frame& frame, const std::vector<int>& children,
+  /// Record each child hop and post the already-encoded frame to it; the
+  /// last child takes the frame itself, the others a copy.
+  void dispatch_bcast(Frame frame, const std::vector<int>& children,
                       std::size_t tile_bytes);
 
   int rank_;

@@ -185,9 +185,10 @@ int run_serve_worker(const ServeWorkerOptions& opts) {
 
   // Dispatcher pool: the recv loop must stay responsive to control frames
   // (metrics, drain, fault injection) while requests execute, so requests
-  // go through a queue drained by as many threads as the service has
-  // executor workers. The router's per-worker in-flight bound keeps this
-  // queue small by construction.
+  // go through a queue drained by as many threads as the service executes
+  // requests at once (`workers`). Each dispatcher executes its request on
+  // its own thread: the service starts none. The router's per-worker
+  // in-flight bound keeps this queue small by construction.
   std::mutex queue_mutex;
   std::condition_variable queue_cv;
   std::deque<RequestMsg> queue;

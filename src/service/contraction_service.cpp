@@ -44,8 +44,8 @@ struct ContractionService::Session {
   std::size_t iterations = 0;
 };
 
-/// One queued unit of work. Lives on the submitting thread's stack; the
-/// submitter blocks until `done`, so the pointers stay valid.
+/// One request, on its caller's stack: a plain submit or a session
+/// iteration.
 struct ContractionService::Job {
   // Plain submit payload.
   const ContractionRequest* request = nullptr;
@@ -56,7 +56,6 @@ struct ContractionService::Job {
 
   ContractionResponse* response = nullptr;
   ServiceStatus status = ServiceStatus::kOk;
-  bool done = false;
   Timer since_submit;  ///< queue wait + start latency reference point
 };
 
@@ -109,92 +108,66 @@ ContractionService::ContractionService(ServiceConfig cfg)
     : cfg_(cfg), cache_(cfg.plan_cache_capacity) {
   BSTC_REQUIRE(cfg_.workers >= 1, "service needs at least one worker");
   BSTC_REQUIRE(cfg_.queue_capacity >= 1, "queue capacity must be >= 1");
-  workers_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int w = 0; w < cfg_.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
 }
 
 ContractionService::~ContractionService() { shutdown(); }
 
 void ContractionService::shutdown() {
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-    // Queued-but-unstarted requests fail fast; their submitters unblock.
-    for (Job* job : queue_) {
-      job->status = ServiceStatus::kShuttingDown;
-      if (job->response != nullptr) {
-        job->response->error = "service shut down before execution";
-      }
-      job->done = true;
-    }
-    queue_.clear();
-  }
-  queue_cv_.notify_all();
-  done_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  std::unique_lock lock(mutex_);
+  stopping_ = true;
+  gate_cv_.notify_all();  // waiting requests fail with kShuttingDown
+  gate_cv_.wait(lock, [this] { return running_ == 0 && waiting_ == 0; });
 }
 
-ServiceStatus ContractionService::enqueue_and_wait(Job& job) {
+ServiceStatus ContractionService::run(Job& job) {
+  ContractionResponse& resp = *job.response;
   {
     std::unique_lock lock(mutex_);
     if (stopping_) {
-      if (job.response != nullptr) {
-        job.response->error = "service is shutting down";
-      }
+      resp.error = "service is shutting down";
       return ServiceStatus::kShuttingDown;
     }
-    if (queue_.size() >= cfg_.queue_capacity) {
+    if (waiting_ >= cfg_.queue_capacity) {
       ++metrics_.rejected;
-      if (job.response != nullptr) {
-        job.response->error = "request queue is at capacity";
-      }
+      resp.error = "request queue is at capacity";
       return ServiceStatus::kQueueFull;
     }
     ++metrics_.submitted;
-    job.since_submit.reset();
-    queue_.push_back(&job);
+    const std::uint64_t ticket = next_ticket_++;
+    ++waiting_;
+    gate_cv_.wait(lock, [&] {
+      return stopping_ ||
+             (ticket == now_serving_ &&
+              running_ < static_cast<std::size_t>(cfg_.workers));
+    });
+    --waiting_;
+    if (stopping_) {
+      gate_cv_.notify_all();  // shutdown() waits for the gate to empty
+      resp.error = "service shut down before execution";
+      return ServiceStatus::kShuttingDown;
+    }
+    ++now_serving_;
+    ++running_;
   }
-  queue_cv_.notify_one();
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [&job] { return job.done; });
+  gate_cv_.notify_all();  // the next ticket may take another free slot
+  process(job);
+  {
+    std::lock_guard lock(mutex_);
+    --running_;
+    if (job.status == ServiceStatus::kOk) {
+      ++metrics_.completed;
+    } else {
+      ++metrics_.failed;
+    }
+    metrics_.total_queue_wait_s += resp.queue_wait_s;
+    metrics_.max_queue_wait_s =
+        std::max(metrics_.max_queue_wait_s, resp.queue_wait_s);
+    metrics_.total_inspect_s += resp.inspect_s;
+    metrics_.total_execute_s += resp.execute_s;
+    if (job.session != nullptr) ++metrics_.iterations;
+  }
+  gate_cv_.notify_all();
   return job.status;
-}
-
-void ContractionService::worker_loop() {
-  for (;;) {
-    Job* job = nullptr;
-    {
-      std::unique_lock lock(mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      job = queue_.front();
-      queue_.pop_front();
-    }
-    process(*job);
-    {
-      std::lock_guard lock(mutex_);
-      if (job->status == ServiceStatus::kOk) {
-        ++metrics_.completed;
-      } else {
-        ++metrics_.failed;
-      }
-      if (job->response != nullptr) {
-        const double wait = job->response->queue_wait_s;
-        metrics_.total_queue_wait_s += wait;
-        metrics_.max_queue_wait_s = std::max(metrics_.max_queue_wait_s, wait);
-        metrics_.total_inspect_s += job->response->inspect_s;
-        metrics_.total_execute_s += job->response->execute_s;
-        if (job->session != nullptr) ++metrics_.iterations;
-      }
-      job->done = true;
-    }
-    done_cv_.notify_all();
-  }
 }
 
 void ContractionService::process(Job& job) {
@@ -285,7 +258,7 @@ ServiceStatus ContractionService::submit(const ContractionRequest& request,
   Job job;
   job.request = &request;
   job.response = &response;
-  return enqueue_and_wait(job);
+  return run(job);
 }
 
 ServiceStatus ContractionService::open_session(const SessionConfig& cfg,
@@ -368,7 +341,7 @@ ServiceStatus ContractionService::iterate(std::uint64_t session_id,
   job.a = &a;
   job.c_init = c_init;
   job.response = &response;
-  return enqueue_and_wait(job);
+  return run(job);
 }
 
 ServiceStatus ContractionService::trim_session(std::uint64_t session_id,

@@ -15,9 +15,11 @@
 ///    knobs); the service fingerprints the problem identity and serves
 ///    plans from a capacity-bounded LRU cache, so repeated iterations —
 ///    even from unrelated clients — skip the inspector entirely;
-///  * a fixed worker pool drains a bounded request queue; when the queue
-///    is saturated, submit() rejects with a status instead of blocking —
-///    admission control, not unbounded buffering;
+///  * admission control bounds the work in flight: at most `workers`
+///    requests execute at once and at most `queue_capacity` more wait for
+///    a slot, starting in arrival order; the next one is rejected with a
+///    status instead of blocking — admission control, not unbounded
+///    buffering;
 ///  * status codes at the boundary: no exception escapes the service;
 ///  * sessions model the full CCSD loop: open_session() resolves the plan
 ///    and its task graph once, iterate() replays them against refreshed A values while keeping
@@ -25,21 +27,19 @@
 ///    everything. trim_session() bounds the host B footprint in between.
 ///
 /// Thread model: submit()/iterate() may be called from any number of
-/// threads; callers block until their own request finishes (or is
-/// rejected). Workers execute requests. A plan-cache entry holds the
-/// plan's task graph beside it (core/engine.hpp LoweredPlan), built in the
-/// same single-flight build, so a hit replays the graph without lowering
-/// it again; the graph runs on the scheduler's persistent lane threads.
+/// threads, and each request executes on its caller's thread, as a
+/// library call does (compare DBCSR's multiply); the service starts no
+/// thread of its own. A plan-cache entry holds the plan's task graph
+/// beside it (core/engine.hpp LoweredPlan), built in the same
+/// single-flight build, so a hit replays the graph without lowering it
+/// again; the graph runs on the scheduler's persistent lane threads.
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "bsm/block_sparse_matrix.hpp"
 #include "bsm/on_demand_matrix.hpp"
@@ -66,8 +66,8 @@ enum class ServiceStatus : std::uint8_t {
 const char* service_status_name(ServiceStatus status);
 
 /// One contraction request: C = c_init + A*B. Pointed-to data must stay
-/// alive until submit() returns (submit blocks for the caller, so stack
-/// lifetime is natural).
+/// alive until submit() returns (the request runs on the caller's thread,
+/// so stack lifetime is natural).
 struct ContractionRequest {
   const BlockSparseMatrix* a = nullptr;  ///< materialized A
   const Shape* b_shape = nullptr;        ///< sparsity of generated B
@@ -94,7 +94,7 @@ struct ContractionResponse {
   BlockSparseMatrix c;           ///< the product (valid when status is kOk)
   std::uint64_t fingerprint = 0; ///< problem identity hash
   bool plan_cache_hit = false;   ///< plan served without running the inspector
-  double queue_wait_s = 0.0;     ///< submit() to worker pickup
+  double queue_wait_s = 0.0;     ///< submit() to passing admission
   double inspect_s = 0.0;        ///< inspector + lowering (0 on a hit)
   double execute_s = 0.0;        ///< executor wall-clock
   double start_latency_s = 0.0;  ///< submit() to execution start
@@ -120,22 +120,23 @@ struct SessionConfig {
 
 /// Service tuning.
 struct ServiceConfig {
-  int workers = 2;                      ///< executor worker threads
-  std::size_t queue_capacity = 16;      ///< pending requests before reject
+  int workers = 2;                      ///< requests executing at once
+  std::size_t queue_capacity = 16;      ///< waiting requests before reject
   std::size_t plan_cache_capacity = 32; ///< LRU plan slots
 };
 
 class ContractionService {
  public:
   explicit ContractionService(ServiceConfig cfg = {});
-  ~ContractionService();  ///< shutdown() + join
+  ~ContractionService();  ///< shutdown()
 
   ContractionService(const ContractionService&) = delete;
   ContractionService& operator=(const ContractionService&) = delete;
 
-  /// Execute one contraction. Blocks the calling thread until the request
-  /// completes, fails, or is rejected up front (kQueueFull when the queue
-  /// is at capacity — admission control never blocks on a full queue).
+  /// Execute one contraction on the calling thread, after waiting for a
+  /// slot when `workers` requests are already executing. Rejected up front
+  /// with kQueueFull when `queue_capacity` requests already wait —
+  /// admission control never blocks on a full queue.
   ServiceStatus submit(const ContractionRequest& request,
                        ContractionResponse& response);
 
@@ -147,8 +148,8 @@ class ContractionService {
   /// One CCSD-style iteration: C = c_init + A*B with the session's cached
   /// plan and (optionally) cached B tiles. A must have the session's
   /// a_shape. Iterations of one session are serialized; concurrent
-  /// iterate() calls on different sessions proceed in parallel subject to
-  /// the worker pool. Queue admission control applies as for submit().
+  /// iterate() calls on different sessions proceed in parallel, at most
+  /// `workers` at once. Admission control applies as for submit().
   ServiceStatus iterate(std::uint64_t session_id, const BlockSparseMatrix& a,
                         const BlockSparseMatrix* c_init,
                         ContractionResponse& response);
@@ -173,9 +174,9 @@ class ContractionService {
   /// Snapshot of service counters (thread-safe, any time).
   ServiceMetrics metrics() const;
 
-  /// Stop accepting work, fail queued-but-unstarted requests with
-  /// kShuttingDown, finish in-flight executions and join the workers.
-  /// Idempotent; also run by the destructor.
+  /// Stop accepting work, fail waiting requests with kShuttingDown, and
+  /// return once the executing ones have finished. Idempotent; also run by
+  /// the destructor. Must not be called from inside a request.
   void shutdown();
 
   const ServiceConfig& config() const { return cfg_; }
@@ -184,25 +185,27 @@ class ContractionService {
   struct Job;
   struct Session;
 
-  ServiceStatus enqueue_and_wait(Job& job);
-  void worker_loop();
+  /// Admit the job, execute it on the calling thread, release its slot.
+  ServiceStatus run(Job& job);
   void process(Job& job);
 
   ServiceConfig cfg_;
   PlanCache cache_;
 
+  // Admission gate: waiting requests hold tickets and start in ticket
+  // order; shutdown() waits here for the gate to empty.
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;  ///< workers wait for jobs
-  std::condition_variable done_cv_;   ///< submitters wait for completion
-  std::deque<Job*> queue_;
+  std::condition_variable gate_cv_;
+  std::size_t running_ = 0;        ///< requests executing
+  std::size_t waiting_ = 0;        ///< requests waiting for a slot
+  std::uint64_t next_ticket_ = 0;  ///< ticket of the next admitted request
+  std::uint64_t now_serving_ = 0;  ///< ticket allowed to start next
   bool stopping_ = false;
   ServiceMetrics metrics_;
 
   std::mutex sessions_mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   std::uint64_t next_session_id_ = 1;
-
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace bstc

@@ -20,7 +20,7 @@ namespace bstc {
 /// Snapshot of everything the service has done so far.
 struct ServiceMetrics {
   // Admission.
-  std::size_t submitted = 0;  ///< accepted into the queue
+  std::size_t submitted = 0;  ///< admitted: started at once or waited
   std::size_t rejected = 0;   ///< bounced with kQueueFull
   std::size_t completed = 0;  ///< finished with kOk
   std::size_t failed = 0;     ///< finished with an error status

@@ -493,7 +493,7 @@ TEST(EnginePoolFork, FineTilingSessionOneCpuChildMatchesBitwise) {
   Rng rng(5);
   const BlockSparseMatrix a_iter = BlockSparseMatrix::random(h.a.shape(), rng);
   const std::uint64_t fanouts = counter("bstc_pool_fanouts_total");
-  // The service (and its worker threads) is gone before the fork.
+  // The service is gone before the fork.
   const BlockSparseMatrix full = iterate_fine_session(h, a_iter);
   ASSERT_GT(ComputePool::process(1).size(), 1u);
   ASSERT_GT(counter("bstc_pool_fanouts_total"), fanouts);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -286,6 +287,45 @@ TEST(PlanCache, JoinersOfAFailedBuildDoNotCountAsHits) {
   EXPECT_EQ(st.failed_builds, 1u);
 }
 
+/// Holds every B generation of a request until open(), so the request
+/// keeps its execution slot while a test lines up the others.
+struct BGate {
+  std::mutex m;
+  std::condition_variable cv;
+  bool is_open = false;
+  std::atomic<int> entered{0};
+
+  TileGenerator wrap(TileGenerator inner) {
+    return [this, inner](std::size_t r, std::size_t c) {
+      ++entered;
+      std::unique_lock lock(m);
+      cv.wait(lock, [this] { return is_open; });
+      return inner(r, c);
+    };
+  }
+  void wait_entered() const {
+    while (entered.load() == 0) std::this_thread::yield();
+  }
+  void open() {
+    {
+      std::lock_guard lock(m);
+      is_open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Threads of this process, from /proc/self/task.
+std::size_t process_threads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
 // ---------------------------------------------------------------------------
 // ContractionService
 
@@ -391,6 +431,117 @@ TEST(Service, SaturatedQueueRejectsInsteadOfBlocking) {
   EXPECT_EQ(s1, ServiceStatus::kOk) << r1.error;
   EXPECT_EQ(s2, ServiceStatus::kOk) << r2.error;
   EXPECT_LT(r1.c.max_abs_diff(h.reference()), 1e-10);
+}
+
+TEST(Service, ConstructionStartsNoThreads) {
+  const std::size_t before = process_threads();
+  ServiceConfig cfg;
+  cfg.workers = 4;
+  ContractionService service(cfg);
+  EXPECT_EQ(process_threads(), before);
+}
+
+TEST(Service, WaitingRequestsStartInArrivalOrder) {
+  const ServiceHarness h(48, 120, 120, 0.7, 0.6, 43);
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  ContractionService service(cfg);
+
+  BGate gate;
+  ContractionRequest gated = h.request();
+  gated.b_generator = gate.wrap(h.b_gen);
+  ServiceStatus gated_status = ServiceStatus::kExecutionError;
+  ContractionResponse gated_resp;
+  std::thread runner(
+      [&] { gated_status = service.submit(gated, gated_resp); });
+  gate.wait_entered();
+
+  // Each waiter records its tag when its B generator first runs, that is
+  // when it has started executing.
+  std::mutex log_mutex;
+  std::vector<int> started;
+  constexpr int kWaiters = 3;
+  std::vector<ContractionRequest> requests(kWaiters, h.request());
+  for (int tag = 0; tag < kWaiters; ++tag) {
+    auto first = std::make_shared<std::once_flag>();
+    const TileGenerator inner = h.b_gen;
+    requests[static_cast<std::size_t>(tag)].b_generator =
+        [&log_mutex, &started, first, inner, tag](std::size_t r,
+                                                  std::size_t c) {
+          std::call_once(*first, [&] {
+            std::lock_guard lock(log_mutex);
+            started.push_back(tag);
+          });
+          return inner(r, c);
+        };
+  }
+  std::vector<ServiceStatus> statuses(kWaiters,
+                                      ServiceStatus::kExecutionError);
+  std::vector<ContractionResponse> responses(kWaiters);
+  std::vector<std::thread> waiters;
+  for (int tag = 0; tag < kWaiters; ++tag) {
+    const auto t = static_cast<std::size_t>(tag);
+    waiters.emplace_back([&, t] {
+      statuses[t] = service.submit(requests[t], responses[t]);
+    });
+    // The next request arrives only once this one waits at the gate.
+    while (service.metrics().submitted < t + 2) std::this_thread::yield();
+  }
+
+  gate.open();
+  runner.join();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(gated_status, ServiceStatus::kOk) << gated_resp.error;
+  for (std::size_t t = 0; t < kWaiters; ++t) {
+    EXPECT_EQ(statuses[t], ServiceStatus::kOk) << responses[t].error;
+  }
+  EXPECT_EQ(started, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Service, ShutdownFailsWaitersAndFinishesTheRunningRequest) {
+  const ServiceHarness h(48, 120, 120, 0.7, 0.6, 47);
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 1;
+  ContractionService service(cfg);
+
+  BGate gate;
+  ContractionRequest gated = h.request();
+  gated.b_generator = gate.wrap(h.b_gen);
+  ServiceStatus gated_status = ServiceStatus::kExecutionError;
+  ContractionResponse gated_resp;
+  std::thread runner(
+      [&] { gated_status = service.submit(gated, gated_resp); });
+  gate.wait_entered();
+
+  ServiceStatus waiter_status = ServiceStatus::kOk;
+  ContractionResponse waiter_resp;
+  std::thread waiter(
+      [&] { waiter_status = service.submit(h.request(), waiter_resp); });
+  while (service.metrics().submitted < 2) std::this_thread::yield();
+
+  std::atomic<bool> shutdown_returned{false};
+  std::size_t completed_at_return = 0;
+  std::thread stopper([&] {
+    service.shutdown();
+    completed_at_return = service.metrics().completed;
+    shutdown_returned = true;
+  });
+
+  // The waiter fails while the gated request still holds its slot, and
+  // shutdown() keeps waiting for that request.
+  waiter.join();
+  EXPECT_EQ(waiter_status, ServiceStatus::kShuttingDown);
+  EXPECT_FALSE(waiter_resp.error.empty());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(shutdown_returned.load());
+
+  gate.open();
+  runner.join();
+  stopper.join();
+  EXPECT_EQ(gated_status, ServiceStatus::kOk) << gated_resp.error;
+  EXPECT_LT(gated_resp.c.max_abs_diff(h.reference()), 1e-10);
+  EXPECT_EQ(completed_at_return, 1u);
 }
 
 TEST(Service, SessionIteratesExactlyWithPersistentB) {

@@ -1333,8 +1333,9 @@ const Flags kServeSpecFlags = {
 };
 /// The service knobs of serve-batch, program-run and serve-worker.
 const Flags kServiceFlags = {
-    {"workers", "N  service worker threads (default 2)"},
-    {"queue", "N  admission-control queue capacity (default 16)"},
+    {"workers", "N  requests the service executes at once, each on\n"
+                "its caller's thread (default 2)"},
+    {"queue", "N  requests that may wait for a slot (default 16)"},
     {"cache", "N  LRU plan-cache capacity (default 32)"},
 };
 
@@ -1434,7 +1435,8 @@ const CommandInfo kCommands[] = {
            {"iters", "N  program iterations (default 2); A-side tensors\n"
                      "are reseeded every iteration, fixed tensors stay\n"
                      "cached in node sessions"},
-           {"workers", "N  service worker threads per rank (default 2)"},
+           {"workers", "N  requests each rank's service executes at\n"
+                       "once (default 2)"},
            {"ranks", "N  also run distributed: fork N serve-worker ranks,\n"
                      "iterate the same program over TCP and verify the\n"
                      "residual bitwise against the single-process run"},
